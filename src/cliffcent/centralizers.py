@@ -6,11 +6,11 @@ For a subspace S and an element X the three conditions are
 * grade-twisted:  hat(X) V = V X       for all V in S,
 * mix-twisted:    X <V>_0 + hat(X) <V>_1 = V X   for all V in S.
 
-Route one tests every basis blade against every basis blade of S (a sign
-table makes this fast).  Route two solves the defining linear system over
-the rationals.  Route three evaluates closed-form descriptions assembled
-from graded pieces.  The verification engine runs the routes side by side
-and reports every disagreement.
+Route one tests every basis blade against every basis blade of S.  Route
+two solves the defining linear system over the rationals.  Route three
+evaluates closed-form descriptions assembled from graded pieces.  The
+verification engine runs the routes side by side and reports every
+disagreement.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import enum
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,56 +71,44 @@ class CentralizerKind(enum.Enum):
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
-@lru_cache(maxsize=64)
-def _sign_table(sig: Signature) -> np.ndarray:
-    """signs[x, v] = sign of blade_x * blade_v (0 when the product vanishes)."""
-    n = sig.n
-    size = 1 << n
-    x = np.arange(size, dtype=np.uint32)[:, None]
-    v = np.arange(size, dtype=np.uint32)[None, :]
-    swaps = np.zeros((size, size), dtype=np.int32)
-    for i in range(n):
-        v_has_i = ((v >> i) & 1).astype(np.int32)
-        above_i = np.bitwise_count(x >> (i + 1)).astype(np.int32)
-        swaps += v_has_i * above_i
-    shared = x & v
-    swaps += np.bitwise_count(shared & np.uint32(sig.negative_mask)).astype(np.int32)
-    signs = np.where(swaps & 1, -1, 1).astype(np.int8)
-    signs[(shared & np.uint32(sig.degenerate_mask)) != 0] = 0
-    return signs
-
-
-@lru_cache(maxsize=64)
-def _grade_parity(sig: Signature) -> np.ndarray:
-    grades = np.bitwise_count(np.arange(1 << sig.n, dtype=np.uint32))
-    return (grades & 1).astype(np.int8)
+# Columns of S tested per step: the work arrays stay at 2^n x 64 entries,
+# under 9 MiB each at n = 16.
+_BLOCK = 64
 
 
 def brute_force_centralizer(sig: Signature, s: Subspace,
                             kind: CentralizerKind) -> Subspace:
-    """All blades X whose kind-condition holds against every blade of S."""
+    """All blades X whose kind-condition holds against every blade of S.
+
+    For blades x and v the product xv vanishes exactly when x & v meets a
+    degenerate generator; otherwise vx = (-1)^(|x||v| + |x & v|) xv, and
+    hat(x) adds |x| to the exponent.  Each condition is thus a parity test
+    and reads no metric sign: plain needs |x||v| + |x & v| even, hat needs
+    |x|(|v| + 1) + |x & v| even, and tilde (plain for even v, hat for odd
+    v) needs |x & v| even.
+    """
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    v_list = sorted(s.blades)
-    if not v_list:
-        return full_algebra(sig)
-    table = _sign_table(sig)
-    xv = table[:, v_list]
-    vx = table[v_list, :].T
-    annihilated = xv == 0
-    plain_ok = annihilated | (xv == vx)
+    # uint16 holds every mask: make_signature caps n at MAX_DIM = 16
+    v_all = np.fromiter(s.blades, dtype=np.uint16, count=len(s.blades))
+    v_parity = np.bitwise_count(v_all) & 1
+    # the factor multiplying |x| in the exponent, mod 2
     if kind is CentralizerKind.PLAIN:
-        ok = plain_ok
+        x_factor = v_parity
+    elif kind is CentralizerKind.GRADE_TWISTED:
+        x_factor = v_parity ^ 1
     else:
-        hat = np.where(_grade_parity(sig)[:, None], -1, 1).astype(np.int8)
-        twisted_ok = annihilated | (hat * xv == vx)
-        if kind is CentralizerKind.GRADE_TWISTED:
-            ok = twisted_ok
-        else:
-            v_parity = _grade_parity(sig)[v_list][None, :]
-            ok = np.where(v_parity == 0, plain_ok, twisted_ok)
-    passed = np.flatnonzero(ok.all(axis=1))
-    return Subspace(sig, frozenset(int(b) for b in passed))
+        x_factor = np.zeros_like(v_parity)
+    degenerate = np.uint16(sig.degenerate_mask)
+    x = np.arange(1 << sig.n, dtype=np.uint16)
+    for start in range(0, len(v_all), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        shared = x[:, None] & v_all[None, block]
+        x_parity = (np.bitwise_count(x) & 1)[:, None]
+        exponent = np.bitwise_count(shared) + (x_parity & x_factor[None, block])
+        ok = ((exponent & 1) == 0) | ((shared & degenerate) != 0)
+        x = x[ok.all(axis=1)]
+    return Subspace(sig, frozenset(x.tolist()))
 
 
 # -- route two: exact nullspace of the defining linear system -------------------
@@ -200,16 +187,8 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
     return Subspace(sig, frozenset(acc))
 
 
-def _lam_le(sig: Signature, k: int) -> Subspace:
-    return lambda_range(sig, 0, k)
-
-
-def _lam_ge(sig: Signature, d: int) -> Subspace:
-    return lambda_range(sig, d, sig.r)
-
-
 def _nondeg_times_lam_ge(sig: Signature, k: int, d: int) -> Subspace:
-    return product_span(nondeg_grade_subspace(sig, k), _lam_ge(sig, d))
+    return product_span(nondeg_grade_subspace(sig, k), lambda_range(sig, d, sig.r))
 
 
 def _nondeg_times(sig: Signature, k: int, lam: Subspace) -> Subspace:
@@ -226,7 +205,7 @@ def center_closed_form(sig: Signature) -> Subspace:
 
 def _general_even_plain(sig: Signature, m: int) -> Subspace:
     n = sig.n
-    parts = [_lam_le(sig, n - m - 1)]
+    parts = [lambda_range(sig, 0, n - m - 1)]
     parts += [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(1, m - 2, 2)]
     parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(0, m - 1, 2)]
     parts.append(grade_subspace(sig, n))
@@ -244,7 +223,7 @@ def _general_even_twisted(sig: Signature, m: int) -> Subspace:
 
 def _general_odd_twisted(sig: Signature, m: int) -> Subspace:
     n = sig.n
-    parts = [_lam_le(sig, n - m - 1)]
+    parts = [lambda_range(sig, 0, n - m - 1)]
     parts += [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(1, m - 1, 2)]
     parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(0, m, 2)]
     return _assemble(sig, parts)
@@ -264,7 +243,7 @@ def _grassmann_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
     """Exterior-algebra case (every generator degenerate)."""
     stable = direct_sum([
         lambda_even(sig),
-        parity_part(_lam_ge(sig, sig.n - m + 1), 1),
+        parity_part(lambda_range(sig, sig.n - m + 1, sig.r), 1),
     ])
     if m & 1:
         return stable if kind is CentralizerKind.PLAIN else full_algebra(sig)

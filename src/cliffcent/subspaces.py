@@ -36,8 +36,10 @@ class Subspace:
     blades: frozenset
 
     def __post_init__(self):
-        for b in self.blades:
-            check_blade(self.signature, b)
+        # every blade lies in [0, full_mask] once the extremes do
+        if self.blades:
+            check_blade(self.signature, min(self.blades))
+            check_blade(self.signature, max(self.blades))
 
     def sorted_blades(self) -> Tuple[Blade, ...]:
         return tuple(sorted(self.blades, key=blade_sort_key))

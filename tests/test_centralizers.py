@@ -1,5 +1,8 @@
 """Centralizer routes: brute force, nullspace oracle, and closed forms."""
 
+import json
+import random
+
 import pytest
 
 from cliffcent.blades import (
@@ -28,6 +31,7 @@ from cliffcent.centralizers import (
     table1_rows,
     verify_case,
 )
+from cliffcent.cli import main
 from cliffcent.multivector import Multivector, grade_involute
 from cliffcent.subspaces import (
     Subspace,
@@ -116,6 +120,38 @@ class TestBruteForce:
             got = brute_force_centralizer(sig, full_algebra(sig), PLAIN)
             assert got.blades == blades(sig, *expect)
             assert got == center_closed_form(sig)
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_random_blade_sets_agree_with_product_level_reference(self, kind):
+        rng = random.Random(0)
+        for sig in all_signatures(4):
+            size = 1 << sig.n
+            for _ in range(6):
+                chosen = rng.sample(range(size), rng.randint(1, size))
+                s = Subspace(sig, frozenset(chosen))
+                got = brute_force_centralizer(sig, s, kind)
+                assert got.blades == slow_centralizer(sig, s, kind), (sig, chosen)
+
+
+class TestBruteForceLargeAlgebras:
+    """n = 16 runs S in many column blocks over 65,536 candidate blades."""
+
+    @pytest.mark.parametrize("pqr", [(16, 0, 0), (15, 0, 1)])
+    def test_center_command_matches_closed_form(self, capsys, pqr):
+        code = main(["center", "--signature", ",".join(map(str, pqr)),
+                     "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["match"] is True
+        sig = make_signature(*pqr)
+        rebuilt = frozenset(blade_from_indices(ix) for ix in payload["blades"])
+        assert rebuilt == center_closed_form(sig).blades
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_grade_two_matches_closed_form(self, kind):
+        sig = make_signature(8, 4, 4)
+        got = brute_force_centralizer(sig, grade_subspace(sig, 2), kind)
+        assert got == closed_form_grade(sig, 2, kind)
 
 
 class TestNullspaceOracle:

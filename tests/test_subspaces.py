@@ -73,6 +73,11 @@ class TestConstructors:
         assert zero_subspace(SIG).dimension() == 0
         assert full_algebra(SIG).dimension() == 16
 
+    @pytest.mark.parametrize("blade", [1 << SIG.n, -1])
+    def test_rejects_out_of_range_blade(self, blade):
+        with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
+            Subspace(SIG, frozenset({0, blade, SIG.full_mask}))
+
 
 class TestProductSpan:
     def test_spans_products(self):
