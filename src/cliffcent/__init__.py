@@ -21,7 +21,6 @@ from .blades import (
     commute_class,
     format_blade,
     hat_sign,
-    involution_signs,
     make_signature,
     parse_blade,
     tilde_sign,

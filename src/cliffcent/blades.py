@@ -157,19 +157,13 @@ def commute_class(sig: Signature, a: Blade, b: Blade) -> CommuteClass:
     return CommuteClass.COMMUTE if ab.sign == ba.sign else CommuteClass.ANTICOMMUTE
 
 
-def involution_signs(blade: Blade) -> Tuple[int, int]:
-    """(hat, tilde) signs of a blade: ((-1)^k, (-1)^(k(k-1)/2)) for grade k."""
-    k = blade_grade(blade)
-    hat = -1 if k & 1 else 1
-    tilde = -1 if (k * (k - 1) // 2) & 1 else 1
-    return hat, tilde
-
-
 def hat_sign(blade: Blade) -> int:
+    """Grade-involution sign (-1)^k of a grade-k blade."""
     return -1 if blade_grade(blade) & 1 else 1
 
 
 def tilde_sign(blade: Blade) -> int:
+    """Reversion sign (-1)^(k(k-1)/2) of a grade-k blade."""
     k = blade_grade(blade)
     return -1 if (k * (k - 1) // 2) & 1 else 1
 

@@ -60,14 +60,6 @@ class CentralizerKind(enum.Enum):
     GRADE_TWISTED = "hat"
     MIX_TWISTED = "tilde"
 
-    @classmethod
-    def from_name(cls, name: str) -> "CentralizerKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown centralizer kind {name!r}; "
-                         f"expected one of {[k.value for k in cls]}")
-
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
@@ -113,7 +105,11 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
 
 # -- route two: exact nullspace of the defining linear system -------------------
 
+# Generator-count bounds below blades.MAX_DIM: the oracle itself, the
+# oracle leg that verify_case runs by default, and a sweep.
 NULLSPACE_MAX_DIM = 8
+ORACLE_LEG_MAX_DIM = 6
+SWEEP_MAX_DIM = 10
 
 
 def nullspace_centralizer_oracle(
@@ -130,7 +126,6 @@ def nullspace_centralizer_oracle(
         raise ValueError(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
     order = list(all_blades(sig))
-    column_of = {b: j for j, b in enumerate(order)}
     rows: Dict[Tuple[Blade, Blade], Dict[int, Fraction]] = {}
     for v in sorted(s.blades):
         v_mv = Multivector.basis_blade(sig, v)
@@ -636,7 +631,7 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
                 format_blade(b) for b in sorted(form.blades - brute.blades)]
     nullspace_dim = None
     run_nullspace = (with_nullspace if with_nullspace is not None
-                     else sig.n <= 6)
+                     else sig.n <= ORACLE_LEG_MAX_DIM)
     if run_nullspace:
         nullspace_dim, basis = nullspace_centralizer_oracle(sig, s, kind)
         matches["nullspace"] = nullspace_matches_blades(
@@ -682,16 +677,17 @@ def sweep_targets(sig: Signature, families: Sequence[str]) -> List[str]:
 
 def sweep_verify(max_n: int,
                  targets: Union[str, Sequence[str]] = "all",
-                 kinds: Optional[Sequence[CentralizerKind]] = None,
-                 nullspace_max_n: int = 6) -> List[VerifyReport]:
+                 kinds: Optional[Sequence[CentralizerKind]] = None
+                 ) -> List[VerifyReport]:
     """Verify every case for every signature up to max_n generators.
 
     ``targets`` is "all" or a subset of {"grades", "qtypes", "pairs"}.
-    The nullspace leg only runs for signatures with n <= nullspace_max_n
-    (and never above the oracle's own bound).
+    ``max_n`` may not exceed SWEEP_MAX_DIM.  The nullspace leg runs for
+    the signatures with n <= ORACLE_LEG_MAX_DIM.
     """
-    if max_n > 10:
-        raise ValueError(f"sweep bound is 10 generators, got {max_n}")
+    if max_n > SWEEP_MAX_DIM:
+        raise ValueError(
+            f"sweep bound is {SWEEP_MAX_DIM} generators, got {max_n}")
     if isinstance(targets, str):
         families = SWEEP_TARGET_FAMILIES if targets == "all" else (targets,)
     else:
@@ -701,14 +697,11 @@ def sweep_verify(max_n: int,
             raise ValueError(f"unknown target family {family!r}")
     if kinds is None:
         kinds = tuple(CentralizerKind)
-    nullspace_max_n = min(nullspace_max_n, NULLSPACE_MAX_DIM)
     reports = []
     for sig in all_signatures(max_n):
-        use_nullspace = sig.n <= nullspace_max_n
         for target in sweep_targets(sig, families):
             for kind in kinds:
-                reports.append(
-                    verify_case(sig, target, kind, with_nullspace=use_nullspace))
+                reports.append(verify_case(sig, target, kind))
     return reports
 
 
@@ -778,7 +771,7 @@ def table1_rows(sig: Signature) -> List[Table1Row]:
     """Instantiate the fourteen reductions and brute-check every equality."""
     rows = []
     for kind_name, label, targets, reduction in _TABLE1_LAYOUT:
-        kind = CentralizerKind.from_name(kind_name)
+        kind = CentralizerKind(kind_name)
         reduced = _table1_subspace(sig, kind, targets[0])
         matches = tuple(
             brute_force_centralizer(

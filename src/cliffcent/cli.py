@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from .blades import Signature, blade_indices, make_signature
 from .centralizers import (
+    SWEEP_MAX_DIM,
     CentralizerKind,
     brute_force_centralizer,
     center_closed_form,
@@ -35,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_sweep_bound() -> int:
-    raw = os.environ.get(SWEEP_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SWEEP_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_SWEEP_BOUND
 
 
 def _parse_signature(text: str) -> Signature:
@@ -89,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify",
                             help="sweep all signatures and cross-check routes")
-    verify.add_argument("--max-dim", type=int, default=_default_sweep_bound(),
+    # argparse runs a string default through ``type``, so a non-integer
+    # environment value exits 1 like a bad --max-dim.
+    verify.add_argument("--max-dim", type=int,
+                        default=os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND),
                         metavar="N", help="largest generator count to sweep")
     verify.add_argument("--targets", choices=("grades", "qtypes", "pairs", "all"),
                         default="all")
@@ -110,11 +104,11 @@ def _cmd_centralizer(args) -> int:
     try:
         sig = _parse_signature(args.signature)
         spec = parse_subspace_spec(args.subspace)
-        kind = CentralizerKind.from_name(args.kind)
+        kind = CentralizerKind(args.kind)
+        report = verify_case(sig, spec, kind, with_nullspace=False)
     except ValueError as exc:
         print(f"cliffcent: error: {exc}", file=sys.stderr)
         return 1
-    report = verify_case(sig, spec, kind, with_nullspace=False)
     if args.format == "json":
         payload = {
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
@@ -166,12 +160,11 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 1 <= args.max_dim <= 10:
-        print(f"cliffcent: error: --max-dim must be in 1..10, got {args.max_dim}",
-              file=sys.stderr)
+    if not 1 <= args.max_dim <= SWEEP_MAX_DIM:
+        print(f"cliffcent: error: --max-dim must be in 1..{SWEEP_MAX_DIM}, "
+              f"got {args.max_dim}", file=sys.stderr)
         return 1
-    kinds = tuple(CentralizerKind.from_name(name) for name in
-                  dict.fromkeys(args.kinds))
+    kinds = tuple(CentralizerKind(name) for name in dict.fromkeys(args.kinds))
     reports = sweep_verify(args.max_dim, targets=args.targets, kinds=kinds)
     total, mismatches = summarize(reports)
     if args.format == "json":

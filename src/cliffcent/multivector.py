@@ -171,37 +171,17 @@ class Multivector:
 
 # -- spec-named operation layer ------------------------------------------------
 
-def mv_from_terms(sig: Signature,
-                  terms: Iterable[Tuple[Blade, Rational]]) -> Multivector:
-    return Multivector.from_terms(sig, terms)
-
-
-def geometric_product(u: Multivector, v: Multivector) -> Multivector:
-    return u * v
-
-
-def mv_add(u: Multivector, v: Multivector) -> Multivector:
-    return u + v
+mv_from_terms = Multivector.from_terms
+geometric_product = Multivector.__mul__
+mv_add = Multivector.__add__
+grade_project = Multivector.grade_project
+parity_project = Multivector.parity_project
+grade_involute = Multivector.grade_involute
+reverse = Multivector.reverse
 
 
 def mv_scale(c: Rational, u: Multivector) -> Multivector:
     return u.scale(c)
-
-
-def grade_project(u: Multivector, k: int) -> Multivector:
-    return u.grade_project(k)
-
-
-def parity_project(u: Multivector, l: int) -> Multivector:
-    return u.parity_project(l)
-
-
-def grade_involute(u: Multivector) -> Multivector:
-    return u.grade_involute()
-
-
-def reverse(u: Multivector) -> Multivector:
-    return u.reverse()
 
 
 def commutator(u: Multivector, v: Multivector) -> Multivector:
@@ -211,36 +191,25 @@ def commutator(u: Multivector, v: Multivector) -> Multivector:
 
 # -- regular representation and inverses ---------------------------------------
 
-def _blade_order(sig: Signature) -> List[Blade]:
-    return list(all_blades(sig))
+def _regular_columns(t: Multivector) -> List[Dict[int, Fraction]]:
+    """Column j of U -> T*U in the global blade order: the coefficients of
+    T * blade_j, keyed by row position."""
+    sig = t.signature
+    order = list(all_blades(sig))
+    position = {b: i for i, b in enumerate(order)}
+    return [{position[b]: v for b, v in
+             (t * Multivector.basis_blade(sig, blade))._terms.items()}
+            for blade in order]
 
 
 def left_regular_matrix(t: Multivector) -> List[List[Fraction]]:
-    """Dense 2^n x 2^n matrix of U -> T*U in the global blade order.
-
-    Column j holds the coefficients of T * blade_j.
-    """
-    sig = t.signature
-    order = _blade_order(sig)
-    position = {b: i for i, b in enumerate(order)}
-    size = len(order)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for j, blade in enumerate(order):
-        col = t * Multivector.basis_blade(sig, blade)
-        for b, v in col.terms().items():
-            matrix[position[b]][j] = v
+    """Dense 2^n x 2^n matrix of U -> T*U in the global blade order."""
+    columns = _regular_columns(t)
+    matrix = [[Fraction(0)] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            matrix[i][j] = v
     return matrix
-
-
-def _regular_columns(t: Multivector) -> Tuple[List[Dict[int, Fraction]], Dict[Blade, int]]:
-    sig = t.signature
-    order = _blade_order(sig)
-    position = {b: i for i, b in enumerate(order)}
-    columns = []
-    for blade in order:
-        col = t * Multivector.basis_blade(sig, blade)
-        columns.append({position[b]: v for b, v in col.terms().items()})
-    return columns, position
 
 
 def _inverse_coeffs(t: Multivector) -> Optional[List[Fraction]]:
@@ -248,11 +217,10 @@ def _inverse_coeffs(t: Multivector) -> Optional[List[Fraction]]:
 
     A solution of T*X = 1 in a finite-dimensional associative algebra forces
     the left-regular matrix of T to be surjective, hence invertible, so X is
-    the two-sided inverse.
+    the two-sided inverse.  The scalar blade is first in the global order,
+    so the right-hand side is row 0.
     """
-    columns, position = _regular_columns(t)
-    rhs = {position[0]: Fraction(1)}
-    return _linalg.solve(columns, rhs)
+    return _linalg.solve(_regular_columns(t), {0: Fraction(1)})
 
 
 def is_invertible(t: Multivector) -> bool:
@@ -263,9 +231,7 @@ def inverse_of(t: Multivector) -> Multivector:
     coeffs = _inverse_coeffs(t)
     if coeffs is None:
         raise ZeroDivisionError(f"multivector is not invertible: {t}")
-    order = _blade_order(t.signature)
-    return Multivector.from_terms(
-        t.signature, [(order[i], c) for i, c in enumerate(coeffs) if c])
+    return Multivector.from_terms(t.signature, zip(all_blades(t.signature), coeffs))
 
 
 # -- adjoint actions ------------------------------------------------------------

@@ -462,7 +462,7 @@ def test_criterion_8_cli_contract(capsys):
         rsig = make_signature(**report["signature"])
         rebuilt = frozenset(blade_from_indices(ix)
                             for ix in report["brute_blades"])
-        kind = CentralizerKind.from_name(report["kind"])
+        kind = CentralizerKind(report["kind"])
         target = subspace_from_text(rsig, report["target"])
         assert rebuilt == brute_force_centralizer(rsig, target, kind).blades
 

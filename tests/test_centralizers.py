@@ -9,6 +9,7 @@ from cliffcent.blades import (
     all_blades,
     blade_from_indices,
     blade_grade,
+    blade_product,
     make_signature,
 )
 from cliffcent.centralizers import (
@@ -35,8 +36,10 @@ from cliffcent.cli import main
 from cliffcent.multivector import Multivector, grade_involute
 from cliffcent.subspaces import (
     Subspace,
+    direct_sum,
     full_algebra,
     grade_subspace,
+    intersect,
     parity_part,
     subspace_from_text,
 )
@@ -131,6 +134,58 @@ class TestBruteForce:
                 s = Subspace(sig, frozenset(chosen))
                 got = brute_force_centralizer(sig, s, kind)
                 assert got.blades == slow_centralizer(sig, s, kind), (sig, chosen)
+
+
+def random_disjoint_pairs():
+    """Seeded (sig, A, B): four per signature with n <= 4, where A and B
+    are disjoint nonempty blade sets."""
+    rng = random.Random(0)
+    for sig in all_signatures(4):
+        size = 1 << sig.n
+        for _ in range(4):
+            pool = rng.sample(range(size), size)
+            cut = rng.randint(1, size - 1)
+            end = rng.randint(cut + 1, size)
+            yield (sig, Subspace(sig, frozenset(pool[:cut])),
+                   Subspace(sig, frozenset(pool[cut:end])))
+
+
+class TestCentralizerLaws:
+    """Laws that need no closed form, checked on arbitrary blade sets."""
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_linearity(self, kind):
+        for sig, a, b in random_disjoint_pairs():
+            got = brute_force_centralizer(sig, direct_sum([a, b]), kind)
+            want = intersect(brute_force_centralizer(sig, a, kind),
+                             brute_force_centralizer(sig, b, kind))
+            assert got == want, (sig, a, b)
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_antitonicity(self, kind):
+        for sig, a, b in random_disjoint_pairs():
+            bigger = brute_force_centralizer(sig, direct_sum([a, b]), kind)
+            assert bigger.blades <= brute_force_centralizer(sig, a, kind).blades
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_closed_under_blade_products(self, kind):
+        for sig, a, _ in random_disjoint_pairs():
+            cent = brute_force_centralizer(sig, a, kind).blades
+            for x in cent:
+                for y in cent:
+                    sign, xy = blade_product(sig, x, y)
+                    assert sign == 0 or xy in cent, (sig, a, x, y)
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_oracle_agrees_under_every_metric_split(self, kind):
+        # Cl(p,q,r) and Cl(p+q,0,r) have the same blade-set centralizers;
+        # the oracle is the one route whose products read the metric signs.
+        for sig, a, _ in random_disjoint_pairs():
+            brute = brute_force_centralizer(sig, a, kind).blades
+            for split in (sig, make_signature(sig.p + sig.q, 0, sig.r)):
+                dim, basis = nullspace_centralizer_oracle(
+                    split, Subspace(split, a.blades), kind)
+                assert nullspace_matches_blades(dim, basis, brute), (split, a)
 
 
 class TestBruteForceLargeAlgebras:

@@ -70,6 +70,27 @@ class TestCentralizerCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("pqr,spec,blade", [
+        ("2,0,0", "grade:1+grade:1", "e[1]"),
+        ("1,0,1", "lambda:1+grade:1", "e[2]"),
+    ])
+    def test_overlapping_direct_sum_exits_1(self, capsys, pqr, spec, blade):
+        code, out, err = run(capsys, "centralizer", "--signature", pqr,
+                             "--subspace", spec, "--kind", "plain")
+        assert code == 1
+        assert out == ""
+        assert err == ("cliffcent: error: direct_sum operands overlap "
+                       f"(e.g. {blade})\n")
+
+    def test_disjoint_direct_sum_exits_0(self, capsys):
+        # in Cl(2,0,0) lambda:1 is empty, so it cannot meet grade:1
+        code, out, err = run(capsys, "centralizer", "--signature", "2,0,0",
+                             "--subspace", "lambda:1+grade:1", "--kind", "plain")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[0] == ("Cl(2,0,0) plain centralizer of "
+                                       "lambda:1+grade:1")
+
     def test_bad_kind_exits_1(self, capsys):
         code, _, err = run(capsys, "centralizer", "--signature", "1,1,0",
                            "--subspace", "grade:1", "--kind", "sideways")
@@ -139,10 +160,12 @@ class TestVerifyCommand:
         args = build_parser().parse_args(["verify"])
         assert args.max_dim == 3
 
-    def test_garbage_env_var_falls_back(self, monkeypatch):
+    def test_garbage_env_var_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv(SWEEP_BOUND_ENV, "many")
-        args = build_parser().parse_args(["verify"])
-        assert args.max_dim == DEFAULT_SWEEP_BOUND
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert out == ""
+        assert "--max-dim" in err
 
     def test_default_bound_without_env(self, monkeypatch):
         monkeypatch.delenv(SWEEP_BOUND_ENV, raising=False)
