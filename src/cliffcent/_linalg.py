@@ -60,10 +60,6 @@ def row_reduce(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
     return pivots
 
 
-def rank(rows: Iterable[SparseRow]) -> int:
-    return len(row_reduce(rows))
-
-
 def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
     """Basis of {x : Ax = 0}, one sparse vector per free column.
 

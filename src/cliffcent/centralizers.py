@@ -50,7 +50,6 @@ from .subspaces import (
     parity_subspace,
     parse_subspace_spec,
     product_span,
-    quaternion_type_subspace,
     subspace_from_text,
 )
 
@@ -245,15 +244,21 @@ def _grassmann_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
     return full_algebra(sig) if kind is CentralizerKind.PLAIN else stable
 
 
+def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
+    """The kind to use on a target whose blades all have this parity.
+
+    Against an even V the mix-twisted condition is the plain one, and
+    against an odd V it is the grade-twisted one.
+    """
+    if kind is not CentralizerKind.MIX_TWISTED:
+        return kind
+    return CentralizerKind.GRADE_TWISTED if parity & 1 else CentralizerKind.PLAIN
+
+
 def closed_form_grade(sig: Signature, m: int,
                       kind: CentralizerKind) -> Subspace:
     """Closed form of the kind's centralizer of the grade-m subspace."""
-    if kind is CentralizerKind.MIX_TWISTED:
-        if m == 0:
-            return full_algebra(sig)
-        delegated = (CentralizerKind.PLAIN if m % 2 == 0
-                     else CentralizerKind.GRADE_TWISTED)
-        return closed_form_grade(sig, m, delegated)
+    kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
         return full_algebra(sig)
     if m == 0:
@@ -358,10 +363,7 @@ def closed_form_nondegenerate(sig: Signature, m: int,
     """Non-degenerate case tables (r = 0): one of Cl, Cl^(0), Cl^0+Cl^n, Cl^0."""
     if sig.r != 0:
         raise ValueError(f"non-degenerate tables require r = 0, got {sig}")
-    if kind is CentralizerKind.MIX_TWISTED:
-        delegated = (CentralizerKind.PLAIN if m % 2 == 0
-                     else CentralizerKind.GRADE_TWISTED)
-        return closed_form_nondegenerate(sig, m, delegated)
+    kind = _untwisted(kind, m)
     n = sig.n
     if m < 0 or m > n:
         return full_algebra(sig)
@@ -392,18 +394,12 @@ def closed_form_qt(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
     """Centralizer of the quaternion-type-m subspace, reduced to grade forms."""
     if m not in (0, 1, 2, 3):
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
+    kind = _untwisted(kind, m)
     if kind is CentralizerKind.PLAIN:
         return closed_form_grade(sig, 4 if m == 0 else m, kind)
-    if kind is CentralizerKind.GRADE_TWISTED:
-        if m == 0:
-            return parity_part(closed_form_grade(sig, 4, CentralizerKind.PLAIN), 0)
-        return closed_form_grade(sig, m, kind)
-    # mix-twisted: parity of the target picks the earlier kind
     if m == 0:
-        return closed_form_grade(sig, 4, CentralizerKind.PLAIN)
-    if m == 2:
-        return closed_form_grade(sig, 2, CentralizerKind.PLAIN)
-    return closed_form_grade(sig, m, CentralizerKind.GRADE_TWISTED)
+        return parity_part(closed_form_grade(sig, 4, CentralizerKind.PLAIN), 0)
+    return closed_form_grade(sig, m, kind)
 
 
 _QT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -482,24 +478,6 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
     return lambda_full(sig)
 
 
-def _intersection_qt_pair(sig: Signature, pair: Tuple[int, int],
-                          kind: CentralizerKind) -> Subspace:
-    """The defining intersection for a quaternion-type pair."""
-    k, m = pair
-    if kind is not CentralizerKind.MIX_TWISTED:
-        return intersect(closed_form_qt(sig, k, kind),
-                         closed_form_qt(sig, m, kind))
-    if pair == (0, 2):
-        return intersect(closed_form_qt(sig, 0, CentralizerKind.PLAIN),
-                         closed_form_qt(sig, 2, CentralizerKind.PLAIN))
-    if pair == (1, 3):
-        return intersect(closed_form_qt(sig, 1, CentralizerKind.GRADE_TWISTED),
-                         closed_form_qt(sig, 3, CentralizerKind.GRADE_TWISTED))
-    even_type, odd_type = (k, m) if k % 2 == 0 else (m, k)
-    return intersect(closed_form_qt(sig, even_type, CentralizerKind.PLAIN),
-                     closed_form_qt(sig, odd_type, CentralizerKind.GRADE_TWISTED))
-
-
 def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],
                         kind: CentralizerKind) -> Subspace:
     """Centralizer of a direct sum of two quaternion-type subspaces.
@@ -512,7 +490,9 @@ def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],
     if ordered not in _QT_PAIRS:
         raise ValueError(f"quaternion-type pair must be two distinct types "
                          f"from 0..3, got {pair}")
-    via_intersection = _intersection_qt_pair(sig, ordered, kind)
+    k, m = ordered
+    via_intersection = intersect(closed_form_qt(sig, k, kind),
+                                 closed_form_qt(sig, m, kind))
     via_table = _explicit_qt_pair(sig, ordered, kind)
     if via_intersection.blades != via_table.blades:
         only_int = [format_blade(b) for b in
@@ -578,18 +558,16 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
         tag = atom[0]
         if tag == "grade":
             per_atom.append(closed_form_grade(sig, atom[1], kind))
-        elif tag == "grade_range":
+        elif tag in ("grade_range", "all"):
+            # grades outside [0, n] span nothing, so they add no condition
+            lo, hi = atom[1:] if tag == "grade_range" else (0, sig.n)
             per_atom.append(_intersect_all(
                 [closed_form_grade(sig, m, kind)
-                 for m in range(atom[1], atom[2] + 1)], sig))
+                 for m in range(max(lo, 0), min(hi, sig.n) + 1)], sig))
         elif tag == "qt":
             per_atom.append(closed_form_qt(sig, atom[1], kind))
         elif tag == "qt_pair":
             per_atom.append(closed_form_qt_pair(sig, (atom[1], atom[2]), kind))
-        elif tag == "all":
-            per_atom.append(_intersect_all(
-                [closed_form_grade(sig, m, kind) for m in range(0, sig.n + 1)],
-                sig))
         else:
             return {}  # no closed form for this target
     forms = {"closed_form": _intersect_all(per_atom, sig)}

@@ -11,7 +11,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .blades import Signature, blade_indices, make_signature
+from .blades import Signature, blade_indices, format_blade, make_signature
 from .centralizers import (
     SWEEP_MAX_DIM,
     CentralizerKind,
@@ -22,7 +22,7 @@ from .centralizers import (
     table1_rows,
     verify_case,
 )
-from .subspaces import Subspace, full_algebra, parse_subspace_spec
+from .subspaces import full_algebra, parse_subspace_spec
 
 DEFAULT_SWEEP_BOUND = 7
 SWEEP_BOUND_ENV = "CLIFFCENT_MAX_DIM"
@@ -50,7 +50,6 @@ def _parse_signature(text: str) -> Signature:
 
 
 def _blade_line(blades: Sequence[int]) -> str:
-    from .blades import format_blade
     if not blades:
         return "{0}"
     return ", ".join(format_blade(b) for b in blades)
@@ -101,14 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_centralizer(args) -> int:
-    try:
-        sig = _parse_signature(args.signature)
-        spec = parse_subspace_spec(args.subspace)
-        kind = CentralizerKind(args.kind)
-        report = verify_case(sig, spec, kind, with_nullspace=False)
-    except ValueError as exc:
-        print(f"cliffcent: error: {exc}", file=sys.stderr)
-        return 1
+    sig = _parse_signature(args.signature)
+    spec = parse_subspace_spec(args.subspace)
+    kind = CentralizerKind(args.kind)
+    report = verify_case(sig, spec, kind, with_nullspace=False)
     if args.format == "json":
         payload = {
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
@@ -134,11 +129,7 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_center(args) -> int:
-    try:
-        sig = _parse_signature(args.signature)
-    except ValueError as exc:
-        print(f"cliffcent: error: {exc}", file=sys.stderr)
-        return 1
+    sig = _parse_signature(args.signature)
     brute = brute_force_centralizer(sig, full_algebra(sig),
                                     CentralizerKind.PLAIN)
     closed = center_closed_form(sig)
@@ -161,9 +152,8 @@ def _cmd_center(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not 1 <= args.max_dim <= SWEEP_MAX_DIM:
-        print(f"cliffcent: error: --max-dim must be in 1..{SWEEP_MAX_DIM}, "
-              f"got {args.max_dim}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--max-dim must be in 1..{SWEEP_MAX_DIM}, "
+                         f"got {args.max_dim}")
     kinds = tuple(CentralizerKind(name) for name in dict.fromkeys(args.kinds))
     reports = sweep_verify(args.max_dim, targets=args.targets, kinds=kinds)
     total, mismatches = summarize(reports)
@@ -180,11 +170,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    try:
-        sig = _parse_signature(args.signature)
-    except ValueError as exc:
-        print(f"cliffcent: error: {exc}", file=sys.stderr)
-        return 1
+    sig = _parse_signature(args.signature)
     rows = table1_rows(sig)
     all_match = all(row.match for row in rows)
     if args.format == "json":
@@ -217,7 +203,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _HANDLERS[args.command](args)
+    # every handler reports bad input by raising ValueError before it prints
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        print(f"cliffcent: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -17,6 +17,7 @@ from .blades import (
     all_blades,
     blade_grade,
     blade_product,
+    blade_sort_key,
     check_blade,
     format_blade,
     hat_sign,
@@ -95,7 +96,6 @@ class Multivector:
         if not self._terms:
             return "0"
         parts = []
-        from .blades import blade_sort_key
         for blade in sorted(self._terms, key=blade_sort_key):
             c = self._terms[blade]
             parts.append(f"{c}*{format_blade(blade)}")

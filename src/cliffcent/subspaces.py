@@ -68,41 +68,31 @@ def full_algebra(sig: Signature) -> Subspace:
     return _make(sig, range(1 << sig.n))
 
 
+def _by_grade(sig: Signature, support: int, lo: int, hi: int) -> Subspace:
+    """Blades over the generators in ``support`` with grade in [lo, hi],
+    the range clamped to [0, popcount(support)]."""
+    bits = [1 << i for i in range(sig.n) if support >> i & 1]
+    lo, hi = max(lo, 0), min(hi, len(bits))
+    return _make(sig, (sum(combo) for k in range(lo, hi + 1)
+                       for combo in combinations(bits, k)))
+
+
 def grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k: all blades of grade k; empty outside [0, n]."""
-    if k < 0 or k > sig.n:
-        return zero_subspace(sig)
-    return _make(sig, (b for b in range(1 << sig.n) if blade_grade(b) == k))
+    return _by_grade(sig, sig.full_mask, k, k)
 
 
 def grade_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    lo, hi = max(lo, 0), min(hi, sig.n)
-    return _make(sig, (b for b in range(1 << sig.n) if lo <= blade_grade(b) <= hi))
-
-
-def _degenerate_indices(sig: Signature) -> range:
-    return range(sig.p + sig.q + 1, sig.n + 1)
+    return _by_grade(sig, sig.full_mask, lo, hi)
 
 
 def lambda_subspace(sig: Signature, l: int) -> Subspace:
     """Lambda^l: grade-l blades over the degenerate generators only."""
-    if l < 0 or l > sig.r:
-        return zero_subspace(sig)
-    blades = []
-    for combo in combinations(_degenerate_indices(sig), l):
-        mask = 0
-        for i in combo:
-            mask |= 1 << (i - 1)
-        blades.append(mask)
-    return _make(sig, blades)
+    return _by_grade(sig, sig.degenerate_mask, l, l)
 
 
 def lambda_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    lo, hi = max(lo, 0), min(hi, sig.r)
-    blades: set = set()
-    for l in range(lo, hi + 1):
-        blades |= lambda_subspace(sig, l).blades
-    return _make(sig, blades)
+    return _by_grade(sig, sig.degenerate_mask, lo, hi)
 
 
 def lambda_full(sig: Signature) -> Subspace:
@@ -111,16 +101,7 @@ def lambda_full(sig: Signature) -> Subspace:
 
 def nondeg_grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k_{p,q,0}: grade-k blades over the non-degenerate generators."""
-    nondeg = sig.p + sig.q
-    if k < 0 or k > nondeg:
-        return zero_subspace(sig)
-    blades = []
-    for combo in combinations(range(1, nondeg + 1), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << (i - 1)
-        blades.append(mask)
-    return _make(sig, blades)
+    return _by_grade(sig, sig.full_mask & ~sig.degenerate_mask, k, k)
 
 
 def product_span(a: Subspace, b: Subspace) -> Subspace:
@@ -144,9 +125,7 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
 
 def parity_subspace(sig: Signature, l: int) -> Subspace:
     """Cl^(0) (l=0) or Cl^(1) (l=1)."""
-    if l not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {l}")
-    return _make(sig, (b for b in range(1 << sig.n) if blade_grade(b) & 1 == l))
+    return parity_part(full_algebra(sig), l)
 
 
 def parity_part(s: Subspace, l: int) -> Subspace:

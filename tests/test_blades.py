@@ -4,7 +4,6 @@ import pytest
 
 from cliffcent.blades import (
     CommuteClass,
-    Signature,
     all_blades,
     blade_from_indices,
     blade_grade,

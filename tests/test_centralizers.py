@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cliffcent import centralizers
 from cliffcent.blades import (
     all_blades,
     blade_from_indices,
@@ -15,7 +16,6 @@ from cliffcent.blades import (
 from cliffcent.centralizers import (
     CentralizerKind,
     Table1Row,
-    VerifyReport,
     _assemble,
     all_signatures,
     brute_force_centralizer,
@@ -452,6 +452,24 @@ class TestVerifyCase:
         report = verify_case(sig, "grade:1+grade:2", TILDE)
         assert report.match
         assert "closed_form" in report.matches
+
+    def test_huge_grade_range_builds_at_most_n_plus_one_grade_forms(
+            self, monkeypatch):
+        sig = make_signature(4, 0, 0)
+        want = verify_case(sig, "grade:0..4", PLAIN, with_nullspace=False)
+        calls = []
+
+        def counting(sig, m, kind):
+            calls.append(m)
+            assert len(calls) <= sig.n + 1, "a grade form beyond grade n"
+            return closed_form_grade(sig, m, kind)
+
+        monkeypatch.setattr(centralizers, "closed_form_grade", counting)
+        report = verify_case(sig, "grade:0..1000000000", PLAIN,
+                             with_nullspace=False)
+        assert report.match
+        assert report.brute_blades == want.brute_blades
+        assert report.closed_blades == want.closed_blades
 
     def test_nullspace_opt_out(self):
         sig = make_signature(1, 1, 0)

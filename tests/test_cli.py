@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cliffcent import centralizers
 from cliffcent.blades import blade_from_indices, make_signature
 from cliffcent.centralizers import CentralizerKind, brute_force_centralizer
 from cliffcent.cli import (
@@ -14,13 +15,20 @@ from cliffcent.cli import (
     build_parser,
     main,
 )
-from cliffcent.subspaces import subspace_from_text
+from cliffcent.subspaces import full_algebra, subspace_from_text
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cliffcent: error: ")
 
 
 class TestCentralizerCommand:
@@ -82,6 +90,15 @@ class TestCentralizerCommand:
         assert err == ("cliffcent: error: direct_sum operands overlap "
                        f"(e.g. {blade})\n")
 
+    def test_internal_disagreement_is_not_bad_input(self, monkeypatch):
+        # only ValueError means bad input; a closed-form self-check failure
+        # must surface as the RuntimeError it is
+        monkeypatch.setattr(centralizers, "_explicit_qt_pair",
+                            lambda sig, pair, kind: full_algebra(sig))
+        with pytest.raises(RuntimeError, match="disagree"):
+            main(["centralizer", "--signature", "2,0,0",
+                  "--subspace", "qt:13", "--kind", "plain"])
+
     def test_disjoint_direct_sum_exits_0(self, capsys):
         # in Cl(2,0,0) lambda:1 is empty, so it cannot meet grade:1
         code, out, err = run(capsys, "centralizer", "--signature", "2,0,0",
@@ -116,6 +133,9 @@ class TestCenterCommand:
         assert payload["subspace"] == "all"
         assert payload["blades"] == [[], [1, 2]]
         assert payload["match"] is True
+
+    def test_bad_signature_exits_1(self, capsys):
+        assert_one_error_line(*run(capsys, "center", "--signature", "1,2"))
 
 
 class TestVerifyCommand:
@@ -167,6 +187,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "--max-dim" in err
 
+    @pytest.mark.parametrize("bad", ["0", "11"])
+    def test_out_of_range_env_var_exits_1(self, capsys, monkeypatch, bad):
+        monkeypatch.setenv(SWEEP_BOUND_ENV, bad)
+        code, out, err = run(capsys, "verify")
+        assert_one_error_line(code, out, err)
+        assert "--max-dim" in err
+
     def test_default_bound_without_env(self, monkeypatch):
         monkeypatch.delenv(SWEEP_BOUND_ENV, raising=False)
         args = build_parser().parse_args(["verify"])
@@ -191,6 +218,9 @@ class TestTable1Command:
         assert payload["match"] is True
         assert len(payload["rows"]) == 14
         assert all(row["match"] for row in payload["rows"])
+
+    def test_bad_signature_exits_1(self, capsys):
+        assert_one_error_line(*run(capsys, "table1", "--signature", "9,9,9"))
 
 
 class TestParserBehaviour:

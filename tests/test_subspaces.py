@@ -9,6 +9,7 @@ from cliffcent.blades import (
     make_signature,
     tilde_sign,
 )
+from cliffcent.centralizers import all_signatures
 from cliffcent.subspaces import (
     Subspace,
     direct_sum,
@@ -34,6 +35,13 @@ from cliffcent.subspaces import (
 )
 
 SIG = make_signature(2, 0, 2)   # generators 1,2 nondegenerate; 3,4 degenerate
+SMALL_SIGNATURES = all_signatures(6)
+
+
+def by_definition(sig, support, lo, hi):
+    """Blades inside ``support`` with grade in [lo, hi], by scanning them all."""
+    return {b for b in range(1 << sig.n)
+            if b & ~support == 0 and lo <= blade_grade(b) <= hi}
 
 
 class TestConstructors:
@@ -77,6 +85,44 @@ class TestConstructors:
     def test_rejects_out_of_range_blade(self, blade):
         with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
             Subspace(SIG, frozenset({0, blade, SIG.full_mask}))
+
+
+class TestConstructorDefinitions:
+    """Each graded constructor equals a filter over every blade mask, in
+    every signature with n <= 6."""
+
+    def test_single_grade_constructors(self):
+        for sig in SMALL_SIGNATURES:
+            nondeg = sig.full_mask & ~sig.degenerate_mask
+            for k in range(-1, sig.n + 2):
+                assert grade_subspace(sig, k).blades == \
+                    by_definition(sig, sig.full_mask, k, k), (sig, k)
+                assert lambda_subspace(sig, k).blades == \
+                    by_definition(sig, sig.degenerate_mask, k, k), (sig, k)
+                assert nondeg_grade_subspace(sig, k).blades == \
+                    by_definition(sig, nondeg, k, k), (sig, k)
+
+    def test_range_constructors(self):
+        for sig in SMALL_SIGNATURES:
+            # includes lo > hi, bounds outside [0, n] and a huge upper bound
+            bounds = list(range(-1, sig.n + 2)) + [10**9]
+            for lo in bounds:
+                for hi in bounds:
+                    assert grade_range(sig, lo, hi).blades == \
+                        by_definition(sig, sig.full_mask, lo, hi), (sig, lo, hi)
+                    assert lambda_range(sig, lo, hi).blades == \
+                        by_definition(sig, sig.degenerate_mask, lo, hi), \
+                        (sig, lo, hi)
+
+    def test_parity_subspace(self):
+        for sig in SMALL_SIGNATURES:
+            for l in (0, 1):
+                assert parity_subspace(sig, l).blades == \
+                    {b for b in range(1 << sig.n) if blade_grade(b) % 2 == l}
+
+    def test_parity_subspace_rejects_other_values(self):
+        with pytest.raises(ValueError, match="parity must be 0 or 1"):
+            parity_subspace(SIG, 2)
 
 
 class TestProductSpan:
