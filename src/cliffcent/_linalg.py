@@ -1,7 +1,10 @@
 """Exact Gaussian elimination over the rationals on sparse rows.
 
-Rows are dicts mapping column index -> nonzero Fraction.  Nothing here knows
-about blades; the callers translate to and from coefficient vectors.
+Rows are dicts mapping column index -> nonzero exact rational.  Callers may
+pass int or Fraction entries; every entry becomes a Fraction as a row enters
+elimination, so no division ever sees a bare int and yields a float.
+Nothing here knows about blades; the callers translate to and from
+coefficient vectors.
 
 The pivot set is kept fully inter-reduced (reduced row echelon form): no
 pivot row contains another pivot's column.  That keeps single-pass row
@@ -29,12 +32,12 @@ def _subtract_multiple(row: SparseRow, factor: Fraction, other: SparseRow) -> No
 
 
 def _reduce_row(row: SparseRow, pivots: Dict[int, SparseRow]) -> SparseRow:
-    """Eliminate every pivot column from a copy of ``row``.
+    """Eliminate every pivot column from a Fraction copy of ``row``.
 
     Because pivot rows are inter-reduced, an elimination can only introduce
     non-pivot columns, so one pass over the original support suffices.
     """
-    row = dict(row)
+    row = {c: Fraction(v) for c, v in row.items()}
     for col in sorted(row):
         if col not in row:
             continue  # cancelled by an earlier elimination

@@ -130,8 +130,10 @@ def blade_product(sig: Signature, a: Blade, b: Blade) -> ScaledBlade:
     index lists with the metric signs of the squared (shared) generators.
     A shared degenerate generator annihilates the product (sign 0).
     """
-    check_blade(sig, a)
-    check_blade(sig, b)
+    full = sig.full_mask
+    if not (0 <= a <= full and 0 <= b <= full):
+        check_blade(sig, a)
+        check_blade(sig, b)
     shared = a & b
     if shared & sig.degenerate_mask:
         return ScaledBlade(0, 0)

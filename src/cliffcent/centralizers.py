@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,7 +116,15 @@ def nullspace_centralizer_oracle(
     """Dimension and rational basis of {X : condition(X, V) for all V in S}.
 
     The constraint matrix is assembled from full multivector products, so
-    this path shares no commutation logic with the brute-force route.
+    this path shares no commutation logic with the brute-force route: every
+    sign comes from ``blade_product`` inside ``Multivector.__mul__``.
+
+    One probe P, the sum of all 2^n basis blades with coefficient 1, stands
+    for every column at once, so each blade v of S costs one product per
+    side: twist(P) v - v P.  Since x -> x XOR v is one-to-one, the term of
+    column x lands on blade x XOR v and on no other, so each term c of the
+    residual at blade r is exactly the constraint row {column of r XOR v: c}.
+    The probe holds int coefficients; elimination makes them Fractions.
     """
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
@@ -125,18 +132,17 @@ def nullspace_centralizer_oracle(
         raise ValueError(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
     order = list(all_blades(sig))
-    rows: Dict[Tuple[Blade, Blade], Dict[int, Fraction]] = {}
+    column = {b: j for j, b in enumerate(order)}
+    probe = Multivector(sig, dict.fromkeys(order, 1))
+    hat_probe = probe.grade_involute()
+    rows: List[Dict[int, int]] = []
     for v in sorted(s.blades):
-        v_mv = Multivector.basis_blade(sig, v)
+        v_mv = Multivector(sig, {v: 1})
         twist = (kind is CentralizerKind.GRADE_TWISTED
                  or (kind is CentralizerKind.MIX_TWISTED and blade_grade(v) & 1))
-        for j, b in enumerate(order):
-            x_mv = Multivector.basis_blade(sig, b)
-            left = (x_mv.grade_involute() if twist else x_mv) * v_mv
-            residual = left - v_mv * x_mv
-            for result_blade, coeff in residual.terms().items():
-                rows.setdefault((v, result_blade), {})[j] = coeff
-    basis_vectors = _linalg.nullspace(list(rows.values()), len(order))
+        residual = (hat_probe if twist else probe) * v_mv - v_mv * probe
+        rows.extend({column[r ^ v]: c} for r, c in residual.terms().items())
+    basis_vectors = _linalg.nullspace(rows, len(order))
     basis = [
         Multivector.from_terms(sig, [(order[j], c) for j, c in vec.items()])
         for vec in basis_vectors

@@ -1,12 +1,15 @@
 """Sparse multivectors with exact rational coefficients.
 
-A multivector is a map from basis blades to nonzero Fractions.  Every
-verification in this package reduces to exact identities between such maps,
-so no floating point appears anywhere.
+A multivector is a map from basis blades to nonzero exact rationals (int or
+Fraction), never float.  The public constructors store Fractions; the
+nullspace oracle's private probe holds ints, which stay exact under
+products and sums.  Every verification in this package reduces to exact
+identities between such maps, so no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -28,7 +31,7 @@ Rational = Union[int, Fraction]
 
 
 class Multivector:
-    """Element of Cl(p,q,r) as a sparse blade -> Fraction map.
+    """Element of Cl(p,q,r) as a sparse blade -> exact rational map.
 
     Instances are immutable; arithmetic returns new objects.  Zero
     coefficients are never stored, so equality is plain dict equality.
@@ -36,7 +39,7 @@ class Multivector:
 
     __slots__ = ("signature", "_terms")
 
-    def __init__(self, signature: Signature, terms: Dict[Blade, Fraction]):
+    def __init__(self, signature: Signature, terms: Dict[Blade, Rational]):
         self.signature = signature
         self._terms = terms
 
@@ -48,7 +51,7 @@ class Multivector:
         acc: Dict[Blade, Fraction] = {}
         for blade, coeff in terms:
             check_blade(sig, blade)
-            c = acc.get(blade, Fraction(0)) + Fraction(coeff)
+            c = acc.get(blade, 0) + Fraction(coeff)
             if c:
                 acc[blade] = c
             else:
@@ -108,19 +111,23 @@ class Multivector:
             raise ValueError(
                 f"signature mismatch: {self.signature} vs {other.signature}")
 
-    def __add__(self, other: "Multivector") -> "Multivector":
+    def _combine(self, other: "Multivector", op) -> "Multivector":
+        """Termwise ``op(self, other)`` for op in {operator.add, operator.sub}."""
         self._require_same_signature(other)
         acc = dict(self._terms)
         for blade, coeff in other._terms.items():
-            c = acc.get(blade, Fraction(0)) + coeff
+            c = op(acc.get(blade, 0), coeff)
             if c:
                 acc[blade] = c
             else:
                 del acc[blade]
         return Multivector(self.signature, acc)
 
+    def __add__(self, other: "Multivector") -> "Multivector":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + other.scale(-1)
+        return self._combine(other, operator.sub)
 
     def scale(self, c: Rational) -> "Multivector":
         c = Fraction(c)
@@ -137,13 +144,13 @@ class Multivector:
     def __mul__(self, other: "Multivector") -> "Multivector":
         self._require_same_signature(other)
         sig = self.signature
-        acc: Dict[Blade, Fraction] = {}
+        acc: Dict[Blade, Rational] = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 sign, blade = blade_product(sig, a, b)
                 if sign == 0:
                     continue
-                c = acc.get(blade, Fraction(0)) + sign * ca * cb
+                c = acc.get(blade, 0) + sign * ca * cb
                 if c:
                     acc[blade] = c
                 else:

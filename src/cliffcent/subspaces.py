@@ -12,6 +12,7 @@ conventions make the closed-form constructors total:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Tuple
@@ -190,8 +191,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 #   atom  := "grade:" INT | "grade:" INT ".." INT | "lambda:" INT
 #          | "even" | "odd" | "qt:" DIGIT | "qt:" DIGIT DIGIT | "all"
 #   spec  := atom ("+" atom)*
+#   INT   := "-"? [0-9]+        (ASCII digits only)
 #
 # "+" is a direct sum, so the operands must be disjoint.
+
+_INT = re.compile(r"-?[0-9]+")
+
 
 @dataclass(frozen=True)
 class SubspaceSpec:
@@ -202,6 +207,12 @@ class SubspaceSpec:
 
     def __str__(self) -> str:
         return self.text
+
+
+def _parse_int(text: str) -> int:
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not an INT: {text!r}")
+    return int(text)
 
 
 def _parse_atom(atom: str, position: int) -> Tuple:
@@ -217,18 +228,18 @@ def _parse_atom(atom: str, position: int) -> Tuple:
         if ".." in body:
             lo_text, _, hi_text = body.partition("..")
             try:
-                return ("grade_range", int(lo_text), int(hi_text))
+                return ("grade_range", _parse_int(lo_text), _parse_int(hi_text))
             except ValueError:
                 raise ValueError(
                     f"bad grade range {body!r} at position {position}") from None
         try:
-            return ("grade", int(body))
+            return ("grade", _parse_int(body))
         except ValueError:
             raise ValueError(f"bad grade {body!r} at position {position}") from None
     if atom.startswith("lambda:"):
         body = atom[len("lambda:"):]
         try:
-            return ("lambda", int(body))
+            return ("lambda", _parse_int(body))
         except ValueError:
             raise ValueError(f"bad lambda grade {body!r} at position {position}") from None
     if atom.startswith("qt:"):
@@ -248,8 +259,13 @@ def parse_subspace_spec(text: str) -> SubspaceSpec:
     atoms = []
     position = 0
     for chunk in text.split("+"):
+        end = position + len(chunk)
+        # a "+" right after ":" or ".." was meant as the sign of an INT
+        if end < len(text) and chunk.rstrip().endswith((":", "..")):
+            raise ValueError(
+                f"'+' at position {end} is the direct-sum operator, not a sign")
         atoms.append(_parse_atom(chunk, position))
-        position += len(chunk) + 1
+        position = end + 1
     return SubspaceSpec(tuple(atoms), text.strip())
 
 

@@ -1,5 +1,7 @@
 """Blade-level arithmetic: products, signs, involutions, parsing."""
 
+import re
+
 import pytest
 
 from cliffcent.blades import (
@@ -120,6 +122,16 @@ class TestBladeProduct:
                     s_bc, bc = blade_product(sig, b, c)
                     assert (scaled(sig, s_ab, ab, c, after=True)
                             == scaled(sig, s_bc, bc, a, after=False))
+
+    @pytest.mark.parametrize("sig", [make_signature(1, 1, 1),
+                                     make_signature(0, 0, 2)])
+    def test_rejects_out_of_range_blades(self, sig):
+        full = sig.full_mask
+        for a, b, bad in ((full + 1, 1, full + 1), (-1, 1, -1),
+                          (1, full + 1, full + 1)):
+            message = re.escape(f"blade {bad:#x} not valid for {sig}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                blade_product(sig, a, b)
 
 
 class TestCommuteClass:

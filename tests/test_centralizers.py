@@ -2,10 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from cliffcent import centralizers
+from cliffcent import _linalg, centralizers
 from cliffcent.blades import (
     all_blades,
     blade_from_indices,
@@ -28,6 +29,7 @@ from cliffcent.centralizers import (
     nullspace_centralizer_oracle,
     nullspace_matches_blades,
     summarize,
+    sweep_targets,
     sweep_verify,
     table1_rows,
     verify_case,
@@ -243,6 +245,64 @@ class TestNullspaceOracle:
         sig = make_signature(5, 4, 0)
         with pytest.raises(ValueError):
             nullspace_centralizer_oracle(sig, grade_subspace(sig, 1), PLAIN)
+
+
+def per_pair_oracle(sig, s, kind):
+    """Reference assembly: one row per (v, result blade), built from two
+    basis-blade products per pair (v, x)."""
+    order = list(all_blades(sig))
+    rows = {}
+    for v in sorted(s.blades):
+        v_mv = Multivector.basis_blade(sig, v)
+        twist = kind is HAT or (kind is TILDE and blade_grade(v) & 1)
+        for j, b in enumerate(order):
+            x_mv = Multivector.basis_blade(sig, b)
+            left = (grade_involute(x_mv) if twist else x_mv) * v_mv
+            for r, c in (left - v_mv * x_mv).terms().items():
+                rows.setdefault((v, r), {})[j] = c
+    vectors = _linalg.nullspace(list(rows.values()), len(order))
+    basis = [Multivector.from_terms(sig, [(order[j], c) for j, c in vec.items()])
+             for vec in vectors]
+    return len(basis), basis
+
+
+def oracle_cases():
+    """Every sweep target for n <= 4, then four seeded random blade sets
+    per signature."""
+    for sig in all_signatures(4):
+        for target in sweep_targets(sig, centralizers.SWEEP_TARGET_FAMILIES):
+            yield sig, subspace_from_text(sig, target)
+    for sig, a, _ in random_disjoint_pairs():
+        yield sig, a
+
+
+class TestOracleAssembly:
+    """The probe assembly must reproduce the per-pair assembly exactly."""
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_matches_per_pair_reference(self, kind):
+        for sig, s in oracle_cases():
+            dim, basis = nullspace_centralizer_oracle(sig, s, kind)
+            assert (dim, basis) == per_pair_oracle(sig, s, kind), (sig, s)
+            for mv in basis:
+                assert all(type(c) is Fraction for c in mv.terms().values())
+
+    def test_one_product_per_side_per_blade_of_s(self, monkeypatch):
+        sig = make_signature(2, 1, 1)
+        s = full_algebra(sig)
+        calls = []
+        original = Multivector.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Multivector, "__mul__", counting)
+        for kind in CentralizerKind:
+            calls.clear()
+            dim, _ = nullspace_centralizer_oracle(sig, s, kind)
+            assert dim == len(brute_force_centralizer(sig, s, kind).blades)
+            assert len(calls) <= 2 * len(s.blades) == 32, kind
 
 
 class TestClosedFormGrade:

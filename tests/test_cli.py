@@ -90,6 +90,13 @@ class TestCentralizerCommand:
         assert err == ("cliffcent: error: direct_sum operands overlap "
                        f"(e.g. {blade})\n")
 
+    def test_non_ascii_int_grammar_exits_1(self, capsys):
+        code, out, err = run(capsys, "centralizer", "--signature", "2,0,0",
+                             "--subspace", "grade:1_0", "--kind", "plain")
+        assert code == 1
+        assert out == ""
+        assert err == "cliffcent: error: bad grade '1_0' at position 0\n"
+
     def test_internal_disagreement_is_not_bad_input(self, monkeypatch):
         # only ValueError means bad input; a closed-form self-check failure
         # must surface as the RuntimeError it is

@@ -70,6 +70,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mv_from_terms(SIG, [(1 << 5, Fraction(1))])
 
+    def test_int_inputs_give_fraction_coefficients(self):
+        e1, e12, e3 = (blade_from_indices(ix) for ix in ((1,), (1, 2), (3,)))
+        u = mv_from_terms(SIG, [(0, 2), (e1, 1), (e12, -3)])
+        v = mv_from_terms(SIG, [(e1, 1), (e3, 4), (e12, -3)])
+        results = [u, v, u + v, u - v, v - u, u * v, v * u,
+                   Multivector.scalar(SIG, 5), Multivector.basis_blade(SIG, e1)]
+        for w in results:
+            assert not w.is_zero()
+            assert all(type(c) is Fraction for c in w.terms().values()), w
+
 
 class TestArithmetic:
     def test_product_hand_checked(self):

@@ -196,10 +196,34 @@ class TestSpecGrammar:
     @pytest.mark.parametrize("bad", [
         "", "grade:", "grade:x", "grade:1..", "qt:4", "qt:123", "lambda:a",
         "mystery:1", "grade:1+",
+        "grade:1_0", "grade: 2", "grade:\u0663", "lambda:1_0",
+        "grade:+2", "grade:1..+2",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_subspace_spec(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        # INT is ASCII "-"? [0-9]+, not whatever int() accepts
+        ("grade:1_0", "bad grade '1_0' at position 0"),
+        ("grade: 2", "bad grade ' 2' at position 0"),
+        ("grade:\u0663", "bad grade '\u0663' at position 0"),
+        ("lambda:1_0", "bad lambda grade '1_0' at position 0"),
+        ("grade:1..1_0", "bad grade range '1..1_0' at position 0"),
+        ("grade:+2", "'+' at position 6 is the direct-sum operator, not a sign"),
+        ("grade:1..+2",
+         "'+' at position 9 is the direct-sum operator, not a sign"),
+        ("grade:1+", "unknown subspace atom '' at position 8"),
+    ])
+    def test_error_names_the_bad_text(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            parse_subspace_spec(bad)
+        assert str(info.value) == message
+
+    def test_negative_and_padded_ints_stay_valid(self):
+        assert parse_subspace_spec("grade:-1").atoms == (("grade", -1),)
+        assert parse_subspace_spec(" grade:0..2 + lambda:1 ").atoms == \
+            (("grade_range", 0, 2), ("lambda", 1))
 
     def test_evaluates(self):
         assert subspace_from_text(SIG, "even").blades == \
