@@ -11,9 +11,12 @@ that squares to zero.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
+
+import numpy as np
 
 MAX_DIM = 16
 
@@ -96,6 +99,8 @@ def blade_grade(blade: Blade) -> int:
 
 def blade_indices(blade: Blade) -> Tuple[int, ...]:
     """1-based generator indices of a blade mask, ascending."""
+    if blade < 0:
+        raise ValueError(f"blade mask must be non-negative, got {blade}")
     out = []
     i = 1
     while blade:
@@ -195,6 +200,51 @@ def blade_sort_key(blade: Blade) -> Tuple[int, Tuple[int, ...]]:
     return (blade_grade(blade), blade_indices(blade))
 
 
+class BladeTable(NamedTuple):
+    """The 2^n blades over n generators in the global enumeration order."""
+
+    order: Tuple[Blade, ...]
+    rank: List[int]  # rank[b] is the position of blade b in order
+    starts: Tuple[int, ...]  # grade k is order[starts[k]:starts[k + 1]]
+
+
+@functools.lru_cache(maxsize=None)
+def blade_table(n: int) -> BladeTable:
+    """The global order of the n-generator blades, built on first use per n.
+
+    The order is that of ``blade_sort_key``.  Within one grade, index lists
+    compare lexicographically exactly as the bit-reversed masks compare in
+    descending order: the lowest index at which two blades differ is the
+    highest bit at which their reversals differ.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    # reversal[m] reverses the n bits of m; its top bit is m's bit 0
+    reversal = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        reversal = np.concatenate((2 * reversal, 2 * reversal + 1))
+    grade = np.bitwise_count(masks).astype(np.int64)
+    order = np.argsort(grade << n | (masks[-1] - reversal))
+    rank = np.empty_like(order)
+    rank[order] = masks
+    starts = np.cumsum(np.bincount(grade, minlength=n + 1))
+    return BladeTable(tuple(order.tolist()), rank.tolist(), (0, *starts.tolist()))
+
+
 def all_blades(sig: Signature) -> Iterator[Blade]:
     """All 2^n blades of the algebra in the global enumeration order."""
-    return iter(sorted(range(1 << sig.n), key=blade_sort_key))
+    return iter(blade_table(sig.n).order)
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_indices(first: int) -> Tuple[Tuple[int, ...], ...]:
+    """Index tuples of the 256 blades over generators first+1..first+8."""
+    return tuple(tuple(first + i for i in blade_indices(x)) for x in range(256))
+
+
+def index_lists(blades: Iterable[Blade]) -> List[List[int]]:
+    """``blade_indices`` of each blade as a list, from two 256-entry tables.
+
+    Covers every blade of every signature: masks stay below 2^MAX_DIM = 2^16.
+    """
+    low, high = _byte_indices(0), _byte_indices(8)
+    return [list(low[b & 255] + high[b >> 8]) for b in blades]

@@ -26,10 +26,10 @@ from . import _linalg
 from .blades import (
     Blade,
     Signature,
-    all_blades,
     blade_grade,
-    blade_indices,
+    blade_table,
     format_blade,
+    index_lists,
 )
 from .multivector import Multivector
 from .subspaces import (
@@ -131,8 +131,7 @@ def nullspace_centralizer_oracle(
     if sig.n > NULLSPACE_MAX_DIM:
         raise ValueError(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
-    order = list(all_blades(sig))
-    column = {b: j for j, b in enumerate(order)}
+    order, column, _ = blade_table(sig.n)
     probe = Multivector(sig, dict.fromkeys(order, 1))
     hat_probe = probe.grade_involute()
     rows: List[Dict[int, int]] = []
@@ -541,9 +540,9 @@ class VerifyReport:
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "target": self.target,
             "kind": self.kind.value,
-            "brute_blades": [list(blade_indices(b)) for b in self.brute_blades],
+            "brute_blades": index_lists(self.brute_blades),
             "closed_blades": (None if self.closed_blades is None else
-                              [list(blade_indices(b)) for b in self.closed_blades]),
+                              index_lists(self.closed_blades)),
             "nullspace_dim": self.nullspace_dim,
             "matches": dict(self.matches),
             "match": self.match,
@@ -666,12 +665,12 @@ def sweep_verify(max_n: int,
     """Verify every case for every signature up to max_n generators.
 
     ``targets`` is "all" or a subset of {"grades", "qtypes", "pairs"}.
-    ``max_n`` may not exceed SWEEP_MAX_DIM.  The nullspace leg runs for
+    ``max_n`` must lie in 1..SWEEP_MAX_DIM.  The nullspace leg runs for
     the signatures with n <= ORACLE_LEG_MAX_DIM.
     """
-    if max_n > SWEEP_MAX_DIM:
+    if not 1 <= max_n <= SWEEP_MAX_DIM:
         raise ValueError(
-            f"sweep bound is {SWEEP_MAX_DIM} generators, got {max_n}")
+            f"max_n must be in 1..{SWEEP_MAX_DIM}, got {max_n}")
     if isinstance(targets, str):
         families = SWEEP_TARGET_FAMILIES if targets == "all" else (targets,)
     else:
@@ -718,8 +717,7 @@ class Table1Row:
             "kind": self.kind.value,
             "target_specs": list(self.targets),
             "reduction": self.reduction,
-            "blades": [list(blade_indices(b))
-                       for b in self.subspace.sorted_blades()],
+            "blades": index_lists(self.subspace.sorted_blades()),
             "match": self.match,
         }
 

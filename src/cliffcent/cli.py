@@ -9,9 +9,9 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .blades import Signature, blade_indices, format_blade, make_signature
+from .blades import Signature, format_blade, index_lists, make_signature
 from .centralizers import (
     SWEEP_MAX_DIM,
     CentralizerKind,
@@ -53,10 +53,6 @@ def _blade_line(blades: Sequence[int]) -> str:
     if not blades:
         return "{0}"
     return ", ".join(format_blade(b) for b in blades)
-
-
-def _blade_lists(blades: Sequence[int]) -> List[List[int]]:
-    return [list(blade_indices(b)) for b in blades]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +105,7 @@ def _cmd_centralizer(args) -> int:
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "kind": kind.value,
             "subspace": str(spec),
-            "blades": _blade_lists(report.brute_blades),
+            "blades": index_lists(report.brute_blades),
             "match": report.match,
         }
         print(json.dumps(payload))
@@ -139,7 +135,7 @@ def _cmd_center(args) -> int:
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "kind": "plain",
             "subspace": "all",
-            "blades": _blade_lists(brute.sorted_blades()),
+            "blades": index_lists(brute.sorted_blades()),
             "match": agree,
         }
         print(json.dumps(payload))

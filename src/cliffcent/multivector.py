@@ -20,7 +20,7 @@ from .blades import (
     all_blades,
     blade_grade,
     blade_product,
-    blade_sort_key,
+    blade_table,
     check_blade,
     format_blade,
     hat_sign,
@@ -99,7 +99,8 @@ class Multivector:
         if not self._terms:
             return "0"
         parts = []
-        for blade in sorted(self._terms, key=blade_sort_key):
+        rank = blade_table(self.signature.n).rank
+        for blade in sorted(self._terms, key=rank.__getitem__):
             c = self._terms[blade]
             parts.append(f"{c}*{format_blade(blade)}")
         return " + ".join(parts)
@@ -202,8 +203,7 @@ def _regular_columns(t: Multivector) -> List[Dict[int, Fraction]]:
     """Column j of U -> T*U in the global blade order: the coefficients of
     T * blade_j, keyed by row position."""
     sig = t.signature
-    order = list(all_blades(sig))
-    position = {b: i for i, b in enumerate(order)}
+    order, position, _ = blade_table(sig.n)
     return [{position[b]: v for b, v in
              (t * Multivector.basis_blade(sig, blade))._terms.items()}
             for blade in order]

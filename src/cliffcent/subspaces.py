@@ -1,7 +1,9 @@
 """Blade-spanned subspaces of Cl(p,q,r) and a small textual spec language.
 
 Every subspace handled here is the span of a set of basis blades, so the
-data model is simply (signature, frozenset of blade masks).  The range
+data model is simply (signature, frozenset of blade masks).  Each graded
+constructor is a union of whole grades over a run of consecutive
+generators, so it reads its blades off ``blades.blade_table``.  The range
 conventions make the closed-form constructors total:
 
 * grades of the full algebra live in [0, n]; anything outside is empty;
@@ -14,14 +16,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
 from .blades import (
     Blade,
     Signature,
-    blade_grade,
-    blade_sort_key,
+    blade_table,
     check_blade,
     format_blade,
     hat_sign,
@@ -43,7 +44,9 @@ class Subspace:
             check_blade(self.signature, max(self.blades))
 
     def sorted_blades(self) -> Tuple[Blade, ...]:
-        return tuple(sorted(self.blades, key=blade_sort_key))
+        """The blades in the global enumeration order."""
+        rank = blade_table(self.signature.n).rank
+        return tuple(sorted(self.blades, key=rank.__getitem__))
 
     def dimension(self) -> int:
         return len(self.blades)
@@ -69,31 +72,38 @@ def full_algebra(sig: Signature) -> Subspace:
     return _make(sig, range(1 << sig.n))
 
 
-def _by_grade(sig: Signature, support: int, lo: int, hi: int) -> Subspace:
-    """Blades over the generators in ``support`` with grade in [lo, hi],
-    the range clamped to [0, popcount(support)]."""
-    bits = [1 << i for i in range(sig.n) if support >> i & 1]
-    lo, hi = max(lo, 0), min(hi, len(bits))
-    return _make(sig, (sum(combo) for k in range(lo, hi + 1)
-                       for combo in combinations(bits, k)))
+def _by_grade(sig: Signature, first: int, width: int,
+              lo: int, hi: int) -> Subspace:
+    """Blades over generators first+1..first+width with grade in [lo, hi],
+    the range clamped to [0, width].
+
+    They are grades lo..hi of the width-generator table, each mask shifted
+    up by ``first`` bits (multiplied by 2^first).
+    """
+    lo, hi = max(lo, 0), min(hi, width)
+    if lo > hi:
+        return zero_subspace(sig)
+    table = blade_table(width)
+    run = table.order[table.starts[lo]:table.starts[hi + 1]]
+    return _make(sig, map((1 << first).__mul__, run))
 
 
 def grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k: all blades of grade k; empty outside [0, n]."""
-    return _by_grade(sig, sig.full_mask, k, k)
+    return _by_grade(sig, 0, sig.n, k, k)
 
 
 def grade_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    return _by_grade(sig, sig.full_mask, lo, hi)
+    return _by_grade(sig, 0, sig.n, lo, hi)
 
 
 def lambda_subspace(sig: Signature, l: int) -> Subspace:
     """Lambda^l: grade-l blades over the degenerate generators only."""
-    return _by_grade(sig, sig.degenerate_mask, l, l)
+    return _by_grade(sig, sig.p + sig.q, sig.r, l, l)
 
 
 def lambda_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    return _by_grade(sig, sig.degenerate_mask, lo, hi)
+    return _by_grade(sig, sig.p + sig.q, sig.r, lo, hi)
 
 
 def lambda_full(sig: Signature) -> Subspace:
@@ -102,7 +112,7 @@ def lambda_full(sig: Signature) -> Subspace:
 
 def nondeg_grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k_{p,q,0}: grade-k blades over the non-degenerate generators."""
-    return _by_grade(sig, sig.full_mask & ~sig.degenerate_mask, k, k)
+    return _by_grade(sig, 0, sig.p + sig.q, k, k)
 
 
 def product_span(a: Subspace, b: Subspace) -> Subspace:
@@ -132,7 +142,7 @@ def parity_subspace(sig: Signature, l: int) -> Subspace:
 def parity_part(s: Subspace, l: int) -> Subspace:
     if l not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {l}")
-    return _make(s.signature, (b for b in s.blades if blade_grade(b) & 1 == l))
+    return _make(s.signature, (b for b in s.blades if b.bit_count() & 1 == l))
 
 
 def lambda_even(sig: Signature) -> Subspace:
@@ -145,13 +155,20 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
 
     Built from the two sign conditions, not from the grade mod 4 shortcut;
     the equivalence of the two descriptions is asserted by the test suite.
+    Both signs depend on the grade alone, so each grade is tested once, on
+    its first blade, and its whole run of the table is kept or dropped.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
     want_hat = -1 if m & 1 else 1
     want_tilde = -1 if (m * (m - 1) // 2) & 1 else 1
-    return _make(sig, (b for b in range(1 << sig.n)
-                       if hat_sign(b) == want_hat and tilde_sign(b) == want_tilde))
+    order, _, starts = blade_table(sig.n)
+    runs = []
+    for k in range(sig.n + 1):
+        first = (1 << k) - 1  # the first blade of grade k
+        if hat_sign(first) == want_hat and tilde_sign(first) == want_tilde:
+            runs.append(order[starts[k]:starts[k + 1]])
+    return _make(sig, chain.from_iterable(runs))
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Subspace:

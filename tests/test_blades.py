@@ -1,10 +1,17 @@
 """Blade-level arithmetic: products, signs, involutions, parsing."""
 
+import os
 import re
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import cliffcent
 from cliffcent.blades import (
+    MAX_DIM,
     CommuteClass,
     all_blades,
     blade_from_indices,
@@ -12,9 +19,11 @@ from cliffcent.blades import (
     blade_indices,
     blade_product,
     blade_sort_key,
+    blade_table,
     commute_class,
     format_blade,
     hat_sign,
+    index_lists,
     make_signature,
     parse_blade,
     tilde_sign,
@@ -70,6 +79,36 @@ class TestBladeBasics:
         sig = make_signature(1, 1, 1)
         order = list(all_blades(sig))
         assert sorted(order, key=blade_sort_key) == order
+
+    @pytest.mark.parametrize("fn", [blade_indices, format_blade, blade_sort_key])
+    def test_negative_mask_is_rejected(self, fn):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            fn(-1)
+
+
+class TestBladeTable:
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_its_definition(self, n):
+        order, rank, starts = blade_table(n)
+        assert list(order) == sorted(range(1 << n), key=blade_sort_key)
+        assert [rank[b] for b in order] == list(range(1 << n))
+        assert len(starts) == n + 2 and starts[0] == 0
+        for k in range(n + 1):
+            run = order[starts[k]:starts[k + 1]]
+            assert len(run) == comb(n, k)
+            assert {blade_grade(b) for b in run} == {k}
+
+    def test_index_lists_match_blade_indices(self):
+        masks = range(1 << MAX_DIM)
+        assert index_lists(masks) == [list(blade_indices(b)) for b in masks]
+
+    def test_import_builds_no_table(self):
+        src = Path(cliffcent.__file__).resolve().parent.parent
+        check = ("import cliffcent\n"
+                 "from cliffcent.blades import blade_table\n"
+                 "assert blade_table.cache_info().currsize == 0\n")
+        subprocess.run([sys.executable, "-c", check], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 class TestBladeProduct:

@@ -15,6 +15,7 @@ from cliffcent.blades import (
     make_signature,
 )
 from cliffcent.centralizers import (
+    SWEEP_MAX_DIM,
     CentralizerKind,
     Table1Row,
     _assemble,
@@ -578,8 +579,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_verify(2, targets=("nonsense",))
 
-    def test_empty_when_bound_below_smallest_algebra(self):
-        assert sweep_verify(0) == []
+    @pytest.mark.parametrize("max_n", [0, -3, SWEEP_MAX_DIM + 1])
+    def test_rejects_bound_outside_range(self, max_n):
+        with pytest.raises(ValueError, match=f"in 1..{SWEEP_MAX_DIM}, got"):
+            sweep_verify(max_n)
 
 
 class TestTable1:

@@ -1,10 +1,16 @@
 """Blade-set subspaces, their constructors, and the spec grammar."""
 
+import random
+import sys
+
 import pytest
 
+from cliffcent import subspaces
 from cliffcent.blades import (
     blade_from_indices,
     blade_grade,
+    blade_sort_key,
+    blade_table,
     hat_sign,
     make_signature,
     tilde_sign,
@@ -36,6 +42,8 @@ from cliffcent.subspaces import (
 
 SIG = make_signature(2, 0, 2)   # generators 1,2 nondegenerate; 3,4 degenerate
 SMALL_SIGNATURES = all_signatures(6)
+# n >= 12, so that Lambda and the non-degenerate pieces are wide table slices
+LARGE_SIGNATURES = [make_signature(3, 2, 7), make_signature(0, 0, 13)]
 
 
 def by_definition(sig, support, lo, hi):
@@ -92,7 +100,7 @@ class TestConstructorDefinitions:
     every signature with n <= 6."""
 
     def test_single_grade_constructors(self):
-        for sig in SMALL_SIGNATURES:
+        for sig in SMALL_SIGNATURES + LARGE_SIGNATURES:
             nondeg = sig.full_mask & ~sig.degenerate_mask
             for k in range(-1, sig.n + 2):
                 assert grade_subspace(sig, k).blades == \
@@ -103,9 +111,11 @@ class TestConstructorDefinitions:
                     by_definition(sig, nondeg, k, k), (sig, k)
 
     def test_range_constructors(self):
-        for sig in SMALL_SIGNATURES:
+        for sig in SMALL_SIGNATURES + LARGE_SIGNATURES:
             # includes lo > hi, bounds outside [0, n] and a huge upper bound
             bounds = list(range(-1, sig.n + 2)) + [10**9]
+            if sig.n > 6:
+                bounds = [-1, 0, 1, sig.r - 1, sig.r, sig.n - 1, sig.n + 1, 10**9]
             for lo in bounds:
                 for hi in bounds:
                     assert grade_range(sig, lo, hi).blades == \
@@ -115,7 +125,7 @@ class TestConstructorDefinitions:
                         (sig, lo, hi)
 
     def test_parity_subspace(self):
-        for sig in SMALL_SIGNATURES:
+        for sig in SMALL_SIGNATURES + LARGE_SIGNATURES:
             for l in (0, 1):
                 assert parity_subspace(sig, l).blades == \
                     {b for b in range(1 << sig.n) if blade_grade(b) % 2 == l}
@@ -143,7 +153,8 @@ class TestProductSpan:
 class TestQuaternionTypes:
     def test_types_partition_by_grade_mod_4(self):
         # the defining sign conditions must carve out exactly grades = m mod 4
-        for sig in (SIG, make_signature(3, 2, 1), make_signature(0, 0, 3)):
+        for sig in (SIG, make_signature(3, 2, 1), make_signature(0, 0, 3),
+                    *LARGE_SIGNATURES):
             for m in range(4):
                 s = quaternion_type_subspace(sig, m)
                 expected = {b for b in full_algebra(sig).blades
@@ -159,6 +170,47 @@ class TestQuaternionTypes:
     def test_rejects_bad_type(self):
         with pytest.raises(ValueError):
             quaternion_type_subspace(SIG, 4)
+
+    def test_tests_each_grade_once(self, monkeypatch):
+        sig = make_signature(0, 0, 12)
+        calls = []
+
+        def counting(blade):
+            calls.append(blade)
+            return hat_sign(blade)
+
+        monkeypatch.setattr(subspaces, "hat_sign", counting)
+        for m in range(4):
+            calls.clear()
+            quaternion_type_subspace(sig, m)
+            assert len(calls) <= sig.n + 1, m
+
+
+class TestSortedBlades:
+    def test_matches_sort_key_on_random_sets(self):
+        rng = random.Random(6)
+        for sig in (SIG, make_signature(3, 2, 1), *LARGE_SIGNATURES):
+            for size in (0, 1, 5, 100, 1 << sig.n):
+                blades = rng.sample(range(1 << sig.n), min(size, 1 << sig.n))
+                s = Subspace(sig, frozenset(blades))
+                assert list(s.sorted_blades()) == sorted(blades, key=blade_sort_key)
+
+    def test_warm_sort_calls_no_sort_key(self, monkeypatch):
+        sig = make_signature(0, 0, 12)
+        s = full_algebra(sig)
+        blade_table(sig.n)
+        calls = []
+
+        def counting(blade):
+            calls.append(blade)
+            return blade_sort_key(blade)
+
+        # replace the key wherever a cliffcent module holds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cliffcent") and hasattr(module, "blade_sort_key"):
+                monkeypatch.setattr(module, "blade_sort_key", counting)
+        assert s.sorted_blades() == blade_table(sig.n).order
+        assert calls == []
 
 
 class TestDirectSum:
