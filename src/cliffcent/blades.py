@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 MAX_DIM = 16
@@ -203,7 +203,7 @@ class BladeTable(NamedTuple):
     """The 2^n blades over n generators in the global enumeration order."""
 
     order: Tuple[Blade, ...]
-    rank: List[int]  # rank[b] is the position of blade b in order
+    rank: Tuple[int, ...]  # rank[b] is the position of blade b in order
     starts: Tuple[int, ...]  # grade k is order[starts[k]:starts[k + 1]]
 
 
@@ -233,7 +233,8 @@ def blade_table(n: int) -> BladeTable:
     rank = [0] * len(order)
     for position, blade in enumerate(order):
         rank[blade] = position
-    return BladeTable(tuple(order), rank, tuple(accumulate(map(len, runs), initial=0)))
+    return BladeTable(tuple(order), tuple(rank),
+                      tuple(accumulate(map(len, runs), initial=0)))
 
 
 def all_blades(sig: Signature) -> Iterator[Blade]:
