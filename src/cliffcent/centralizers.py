@@ -6,11 +6,11 @@ For a subspace S and an element X the three conditions are
 * grade-twisted:  hat(X) V = V X       for all V in S,
 * mix-twisted:    X <V>_0 + hat(X) <V>_1 = V X   for all V in S.
 
-Route one tests every basis blade against every basis blade of S.  Route
-two solves the defining linear system over the rationals.  Route three
-evaluates closed-form descriptions assembled from graded pieces.  The
-verification engine runs the routes side by side and reports every
-disagreement.
+Route one counts, for every basis blade at once, the blades of S it fails
+against, with one exact integer transform per generator.  Route two solves
+the defining linear system over the rationals.  Route three evaluates
+closed-form descriptions assembled from graded pieces.  The verification
+engine runs the routes side by side and reports every disagreement.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _linalg
 from .blades import (
+    MAX_DIM,
     Blade,
     Signature,
     blade_grade,
@@ -61,9 +62,27 @@ class CentralizerKind(enum.Enum):
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
-# Columns of S tested per step: the work arrays stay at 2^n x 64 entries,
-# under 9 MiB each at n = 16.
-_BLOCK = 64
+# The 2x2 kernels K[x_i, v_i] of one generator, nondegenerate then
+# degenerate, for the three rows that brute_force_centralizer transforms.
+_GENERATOR_KERNELS = (np.array([[[1, 1], [1, 1]], [[1, 1], [1, -1]], [[1, 1], [-1, 1]]]),
+                      np.array([[[1, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [-1, 0]]]))
+_CHUNK = 3  # generators transformed per matmul
+
+
+def _chunk_kernels(width: int, degenerate: int) -> np.ndarray:
+    """Per row, the transposed Kronecker product of the kernels of
+    ``width`` consecutive generators, the top ``degenerate`` degenerate."""
+    out = np.ones((3, 1, 1), dtype=np.int64)
+    for i in range(width):
+        kernel = _GENERATOR_KERNELS[i < degenerate]
+        out = np.stack([np.kron(a, k) for a, k in zip(out, kernel)])
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
+# The degenerate generators are the trailing ones, so the kernels of a run
+# of generators depend only on its width and how many of them are degenerate.
+_KERNELS = {(width, degenerate): _chunk_kernels(width, degenerate)
+            for width in range(1, _CHUNK + 1) for degenerate in range(width + 1)}
 
 
 def brute_force_centralizer(sig: Signature, s: Subspace,
@@ -72,33 +91,45 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
 
     For blades x and v the product xv vanishes exactly when x & v meets a
     degenerate generator; otherwise vx = (-1)^(|x||v| + |x & v|) xv, and
-    hat(x) adds |x| to the exponent.  Each condition is thus a parity test
-    and reads no metric sign: plain needs |x||v| + |x & v| even, hat needs
-    |x|(|v| + 1) + |x & v| even, and tilde (plain for even v, hat for odd
-    v) needs |x & v| even.
+    hat(x) adds |x| to the exponent.  So the pair fails exactly when
+    x & v & degenerate_mask = 0 and |x & w_v| is odd, where w_v is
+    v XOR full_mask if the kind adds |x| (plain: odd v; hat: even v;
+    tilde: never) and v otherwise.  No metric sign is read.
+
+    Over v in S, twice the failures at x are A(x) - B(x) - B'(x): A counts
+    the v with x & v & degenerate_mask = 0, and B and B' sum
+    (-1)^|x & w_v| over those with w_v = v and w_v = v XOR full_mask.  Each
+    is one 2x2 integer kernel per generator applied to an indicator row of
+    length 2^n (Yates's algorithm; the Walsh-Hadamard and subset-sum
+    transforms), so the centralizer {x : A(x) = B(x) + B'(x)} costs
+    O(n 2^n) exact integer operations whatever |S| is.
     """
+    if sig.n > MAX_DIM:
+        raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    # uint16 holds every mask: make_signature caps n at MAX_DIM = 16
-    v_all = np.fromiter(s.blades, dtype=np.uint16, count=len(s.blades))
-    v_parity = np.bitwise_count(v_all) & 1
-    # the factor multiplying |x| in the exponent, mod 2
+    v = np.fromiter(s.blades, dtype=np.intp, count=len(s.blades))
+    # the factor multiplying |x| in the exponent, mod 2: row 2 when set
     if kind is CentralizerKind.PLAIN:
-        x_factor = v_parity
+        x_factor = np.bitwise_count(v) & 1
     elif kind is CentralizerKind.GRADE_TWISTED:
-        x_factor = v_parity ^ 1
+        x_factor = (np.bitwise_count(v) & 1) ^ 1
     else:
-        x_factor = np.zeros_like(v_parity)
-    degenerate = np.uint16(sig.degenerate_mask)
-    x = np.arange(1 << sig.n, dtype=np.uint16)
-    for start in range(0, len(v_all), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        shared = x[:, None] & v_all[None, block]
-        x_parity = (np.bitwise_count(x) & 1)[:, None]
-        exponent = np.bitwise_count(shared) + (x_parity & x_factor[None, block])
-        ok = ((exponent & 1) == 0) | ((shared & degenerate) != 0)
-        x = x[ok.all(axis=1)]
-    return Subspace(sig, frozenset(x.tolist()))
+        x_factor = 0
+    rows = np.zeros((3, 1 << sig.n), dtype=np.int64)
+    rows[0, v] = 1
+    rows[1 + x_factor, v] = 1
+    # Each step transforms the lowest generators left and rotates them to
+    # the top, so after n generators every index is back in its place.
+    done = 0
+    while done < sig.n:
+        width = min(_CHUNK, sig.n - done)
+        degenerate = min(width, max(0, done + width - sig.p - sig.q))
+        rows = np.matmul(rows.reshape(3, -1, 1 << width), _KERNELS[width, degenerate])
+        rows = rows.transpose(0, 2, 1)
+        done += width
+    a, b, b_complement = rows.reshape(3, -1)
+    return Subspace(sig, frozenset(np.flatnonzero(a == b + b_complement).tolist()))
 
 
 # -- route two: exact nullspace of the defining linear system -------------------
@@ -184,6 +215,12 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
             raise ValueError(f"closed-form terms overlap at {bad}")
         acc |= part.blades
     return Subspace(sig, frozenset(acc))
+
+
+def _formatted_in_order(sig: Signature, blades: frozenset) -> List[str]:
+    """The blades as text, in the global enumeration order."""
+    rank = blade_table(sig.n).rank
+    return [format_blade(b) for b in sorted(blades, key=rank.__getitem__)]
 
 
 def _nondeg_times_lam_ge(sig: Signature, k: int, d: int) -> Subspace:
@@ -500,10 +537,8 @@ def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],
                                  closed_form_qt(sig, m, kind))
     via_table = _explicit_qt_pair(sig, ordered, kind)
     if via_intersection.blades != via_table.blades:
-        only_int = [format_blade(b) for b in
-                    sorted(via_intersection.blades - via_table.blades)]
-        only_tab = [format_blade(b) for b in
-                    sorted(via_table.blades - via_intersection.blades)]
+        only_int = _formatted_in_order(sig, via_intersection.blades - via_table.blades)
+        only_tab = _formatted_in_order(sig, via_table.blades - via_intersection.blades)
         raise RuntimeError(
             f"{sig} qt pair {ordered} ({kind.value}): intersection and "
             f"explicit form disagree; only-intersection={only_int}, "
@@ -608,10 +643,10 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
         agree = form.blades == brute.blades
         matches[name] = agree
         if not agree:
-            diff[name + "_only_brute"] = [
-                format_blade(b) for b in sorted(brute.blades - form.blades)]
-            diff[name + "_only_closed"] = [
-                format_blade(b) for b in sorted(form.blades - brute.blades)]
+            diff[name + "_only_brute"] = _formatted_in_order(
+                sig, brute.blades - form.blades)
+            diff[name + "_only_closed"] = _formatted_in_order(
+                sig, form.blades - brute.blades)
     nullspace_dim = None
     run_nullspace = (with_nullspace if with_nullspace is not None
                      else sig.n <= ORACLE_LEG_MAX_DIM)

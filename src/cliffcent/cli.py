@@ -15,6 +15,7 @@ from .blades import Signature, format_blade, index_lists, make_signature
 from .centralizers import (
     SWEEP_MAX_DIM,
     CentralizerKind,
+    VerifyReport,
     brute_force_centralizer,
     center_closed_form,
     summarize,
@@ -53,6 +54,13 @@ def _blade_line(blades: Sequence[int]) -> str:
     if not blades:
         return "{0}"
     return ", ".join(format_blade(b) for b in blades)
+
+
+def _print_diff(report: VerifyReport) -> None:
+    """The blades on which the routes disagree, one indented line per list."""
+    for name, extra in sorted(report.diff.items()):
+        if extra:
+            print(f"  {name}: {', '.join(extra)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,9 +126,7 @@ def _cmd_centralizer(args) -> int:
             print("closed form: agrees")
         else:
             print("closed form: MISMATCH")
-            for name, extra in sorted(report.diff.items()):
-                if extra:
-                    print(f"  {name}: {', '.join(extra)}")
+            _print_diff(report)
     return 0 if report.match else 2
 
 
@@ -160,6 +166,7 @@ def _cmd_verify(args) -> int:
             status = "ok" if r.match else "MISMATCH"
             print(f"{status} {r.signature} {r.kind.value} {r.target} "
                   f"({len(r.brute_blades)} blades)")
+            _print_diff(r)
         verdict = "PASS" if mismatches == 0 else "FAIL"
         print(f"{verdict}: {total} cases, {mismatches} mismatches")
     return 0 if mismatches == 0 else 2

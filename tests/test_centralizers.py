@@ -4,10 +4,13 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cliffcent import _linalg, centralizers
 from cliffcent.blades import (
+    MAX_DIM,
+    Signature,
     all_blades,
     blade_from_indices,
     blade_grade,
@@ -75,6 +78,30 @@ def slow_centralizer(sig, s, kind):
     return kept
 
 
+def pair_kernel_centralizer(sig, s, kind):
+    """Reference: the parity rule tested pair by pair, 64 blades of S at a
+    time, dropping a candidate x as soon as some blade v rejects it."""
+    v_all = np.fromiter(s.blades, dtype=np.uint16, count=len(s.blades))
+    v_parity = np.bitwise_count(v_all) & 1
+    # the factor multiplying |x| in the exponent, mod 2
+    if kind is PLAIN:
+        x_factor = v_parity
+    elif kind is HAT:
+        x_factor = v_parity ^ 1
+    else:
+        x_factor = np.zeros_like(v_parity)
+    degenerate = np.uint16(sig.degenerate_mask)
+    x = np.arange(1 << sig.n, dtype=np.uint16)
+    for start in range(0, len(v_all), 64):
+        block = slice(start, start + 64)
+        shared = x[:, None] & v_all[None, block]
+        x_parity = (np.bitwise_count(x) & 1)[:, None]
+        exponent = np.bitwise_count(shared) + (x_parity & x_factor[None, block])
+        ok = ((exponent & 1) == 0) | ((shared & degenerate) != 0)
+        x = x[ok.all(axis=1)]
+    return frozenset(x.tolist())
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("pqr", [(2, 0, 0), (1, 1, 0), (1, 0, 1),
                                      (0, 0, 2), (1, 1, 1), (2, 0, 1)])
@@ -139,6 +166,26 @@ class TestBruteForce:
                 assert got.blades == slow_centralizer(sig, s, kind), (sig, chosen)
 
 
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_matches_pair_kernel(self, kind):
+        rng = random.Random(7)
+        for sig in all_signatures(6):
+            size = 1 << sig.n
+            for count in [0, 1, size] + [rng.randint(1, size) for _ in range(5)]:
+                chosen = rng.sample(range(size), count)
+                s = Subspace(sig, frozenset(chosen))
+                got = brute_force_centralizer(sig, s, kind)
+                assert got.blades == pair_kernel_centralizer(sig, s, kind), \
+                    (sig, sorted(chosen))
+
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 40])
+    def test_rejects_algebras_beyond_max_dim(self, n):
+        sig = Signature(0, 0, n)
+        for kind in CentralizerKind:
+            with pytest.raises(ValueError, match=f"n <= {MAX_DIM}, got n = {n}"):
+                brute_force_centralizer(sig, Subspace(sig, frozenset({1})), kind)
+
+
 def random_disjoint_pairs():
     """Seeded (sig, A, B): four per signature with n <= 4, where A and B
     are disjoint nonempty blade sets."""
@@ -192,7 +239,7 @@ class TestCentralizerLaws:
 
 
 class TestBruteForceLargeAlgebras:
-    """n = 16 runs S in many column blocks over 65,536 candidate blades."""
+    """n = 16: every transform row holds 65,536 candidate blades."""
 
     @pytest.mark.parametrize("pqr", [(16, 0, 0), (15, 0, 1)])
     def test_center_command_matches_closed_form(self, capsys, pqr):
@@ -210,6 +257,15 @@ class TestBruteForceLargeAlgebras:
         sig = make_signature(8, 4, 4)
         got = brute_force_centralizer(sig, grade_subspace(sig, 2), kind)
         assert got == closed_form_grade(sig, 2, kind)
+
+    @pytest.mark.parametrize("pqr", [(0, 0, 16), (8, 4, 4)])
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_quaternion_type_pair_matches_closed_form(self, pqr, kind):
+        # qt:12 spans half of the 65,536 blades
+        report = verify_case(make_signature(*pqr), "qt:12", kind,
+                             with_nullspace=False)
+        assert report.matches == {"closed_form": True}
+        assert report.diff == {}
 
 
 class TestNullspaceOracle:
@@ -443,6 +499,17 @@ class TestQuaternionTypePairs:
         got = closed_form_qt_pair(sig, (0, 2), HAT)
         assert got == parity_part(closed_form_qt(sig, 2, PLAIN), 0)
 
+    def test_disagreement_lists_blades_in_global_order(self, monkeypatch):
+        sig = make_signature(3, 0, 0)  # the intersection is {e[], e[1,2,3]}
+        monkeypatch.setattr(centralizers, "_explicit_qt_pair",
+                            lambda sig, pair, kind: Subspace(sig, blades(
+                                sig, (1, 3), (1, 2), (3,), (2,))))
+        with pytest.raises(RuntimeError) as info:
+            closed_form_qt_pair(sig, (1, 3), PLAIN)
+        assert str(info.value).endswith(
+            "only-intersection=['e[]', 'e[1,2,3]'], "
+            "only-explicit=['e[2]', 'e[3]', 'e[1,2]', 'e[1,3]']")
+
     def test_pair_order_is_normalized(self):
         sig = make_signature(2, 0, 0)
         assert closed_form_qt_pair(sig, (3, 1), PLAIN) == \
@@ -531,6 +598,21 @@ class TestVerifyCase:
         assert report.match
         assert report.brute_blades == want.brute_blades
         assert report.closed_blades == want.closed_blades
+
+    @pytest.mark.parametrize("target, closed, key, want", [
+        ("grade:0", [(), (2,), (1, 3)], "closed_form_only_brute",
+         ["e[1]", "e[3]", "e[1,2]", "e[2,3]", "e[1,2,3]"]),
+        ("grade:1", [(), (3,), (1, 2), (1, 2, 3)], "closed_form_only_closed",
+         ["e[3]", "e[1,2]"]),
+    ])
+    def test_diff_lists_blades_in_global_order(self, monkeypatch, target,
+                                               closed, key, want):
+        sig = make_signature(3, 0, 0)
+        monkeypatch.setattr(centralizers, "closed_form_grade",
+                            lambda sig, m, kind: Subspace(sig, blades(sig, *closed)))
+        report = verify_case(sig, target, PLAIN, with_nullspace=False)
+        assert report.matches["closed_form"] is False
+        assert report.diff[key] == want
 
     def test_nullspace_opt_out(self):
         sig = make_signature(1, 1, 0)

@@ -155,6 +155,25 @@ class TestVerifyCommand:
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert len(lines) == 73
 
+    def test_mismatch_text_names_the_blades(self, capsys, monkeypatch):
+        original = centralizers.closed_form_grade
+
+        def wrong_in_cl200(sig, m, kind):
+            if (sig.p, sig.q, sig.r, m) == (2, 0, 0, 1):
+                return full_algebra(sig)
+            return original(sig, m, kind)
+
+        monkeypatch.setattr(centralizers, "closed_form_grade", wrong_in_cl200)
+        code, out, _ = run(capsys, "verify", "--max-dim", "2",
+                           "--targets", "grades", "--kinds", "plain")
+        assert code == 2
+        lines = out.splitlines()
+        at = lines.index("MISMATCH Cl(2,0,0) plain grade:1 (1 blades)")
+        assert lines[at + 1] == "  closed_form_only_closed: e[1], e[2], e[1,2]"
+        assert lines[at + 2].startswith("ok ")
+        assert lines[-1] == "FAIL: 24 cases, 1 mismatches"
+        assert len(lines) == 26
+
     def test_small_sweep_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-dim", "2",
                            "--targets", "grades", "--format", "json")
