@@ -119,8 +119,8 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     rows = np.zeros((3, 1 << sig.n), dtype=np.int64)
     rows[0, v] = 1
     rows[1 + x_factor, v] = 1
-    # Each step transforms the lowest generators left and rotates them to
-    # the top, so after n generators every index is back in its place.
+    # Each step transforms the width lowest bits of the index and rotates
+    # them to the top, so after all n bits every index is back in its place.
     done = 0
     while done < sig.n:
         width = min(_CHUNK, sig.n - done)
