@@ -6,6 +6,12 @@ elimination, so no division ever sees a bare int and yields a float.
 Nothing here knows about blades; the callers translate to and from
 coefficient vectors.
 
+Inside the package only ``multivector.inverse_of`` and ``is_invertible``
+call this module, through ``solve``.  The nullspace oracle's system is
+diagonal for blade-spanned targets, so it reads its kernel off directly;
+``nullspace`` stays for general systems, such as the per-pair reference
+assembly the tests solve.
+
 The pivot set is kept fully inter-reduced (reduced row echelon form): no
 pivot row contains another pivot's column.  That keeps single-pass row
 reduction correct and makes back-substitution trivial.

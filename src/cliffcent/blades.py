@@ -174,7 +174,19 @@ def tilde_sign(blade: Blade) -> int:
     return -1 if (k * (k - 1) // 2) & 1 else 1
 
 
-_BLADE_RE = re.compile(r"^e\[(\d+(?:,\d+)*)?\]$")
+_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An INT of the input grammar, ``-?[0-9]+``: ASCII digits only, no
+    sign "+", digit separator or surrounding space (all of which ``int``
+    accepts)."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not an INT: {text!r}")
+    return int(text)
+
+
+_BLADE_RE = re.compile(r"^e\[([0-9]+(?:,[0-9]+)*)?\]$")
 
 
 def parse_blade(text: str) -> Blade:

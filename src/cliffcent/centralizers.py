@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _linalg
 from .blades import (
     MAX_DIM,
     Blade,
@@ -146,37 +145,35 @@ def nullspace_centralizer_oracle(
         kind: CentralizerKind) -> Tuple[int, List[Multivector]]:
     """Dimension and rational basis of {X : condition(X, V) for all V in S}.
 
-    The constraint matrix is assembled from full multivector products, so
-    this path shares no commutation logic with the brute-force route: every
-    sign comes from ``blade_product`` inside ``Multivector.__mul__``.
+    The constraints come from full multivector products, so this path
+    shares no commutation logic with the brute-force route: every sign
+    comes from ``blade_product`` inside ``Multivector.__mul__``.
 
     One probe P, the sum of all 2^n basis blades with coefficient 1, stands
     for every column at once, so each blade v of S costs one product per
-    side: twist(P) v - v P.  Since x -> x XOR v is one-to-one, the term of
-    column x lands on blade x XOR v and on no other, so each term c of the
-    residual at blade r is exactly the constraint row {column of r XOR v: c}.
-    The probe holds int coefficients; elimination makes them Fractions.
+    side: twist(P) v - v P.  Cl(p,q,r) is (Z/2)^n-graded, so the term of
+    column x lands on blade x XOR v and on no other: each term of the
+    residual at blade r is a one-entry row saying the coefficient of
+    r XOR v is zero.  The system is diagonal, so it needs no elimination:
+    the free columns are the blades no row names, and the nullspace basis
+    is their unit vectors, in the global order.
     """
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
     if sig.n > NULLSPACE_MAX_DIM:
         raise ValueError(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
-    order, column, _ = blade_table(sig.n)
+    order = blade_table(sig.n).order
     probe = Multivector(sig, dict.fromkeys(order, 1))
     hat_probe = probe.grade_involute()
-    rows: List[Dict[int, int]] = []
-    for v in sorted(s.blades):
+    failing = set()
+    for v in s.blades:
         v_mv = Multivector(sig, {v: 1})
         twist = (kind is CentralizerKind.GRADE_TWISTED
                  or (kind is CentralizerKind.MIX_TWISTED and blade_grade(v) & 1))
         residual = (hat_probe if twist else probe) * v_mv - v_mv * probe
-        rows.extend({column[r ^ v]: c} for r, c in residual.terms().items())
-    basis_vectors = _linalg.nullspace(rows, len(order))
-    basis = [
-        Multivector.from_terms(sig, [(order[j], c) for j, c in vec.items()])
-        for vec in basis_vectors
-    ]
+        failing.update(r ^ v for r in residual.blades())
+    basis = [Multivector.basis_blade(sig, x) for x in order if x not in failing]
     return len(basis), basis
 
 
@@ -654,6 +651,12 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
         nullspace_dim, basis = nullspace_centralizer_oracle(sig, s, kind)
         matches["nullspace"] = nullspace_matches_blades(
             nullspace_dim, basis, brute.blades)
+        if not matches["nullspace"]:
+            support = frozenset(b for mv in basis for b in mv.blades())
+            diff["nullspace_only_brute"] = _formatted_in_order(
+                sig, brute.blades - support)
+            diff["nullspace_only_oracle"] = _formatted_in_order(
+                sig, support - brute.blades)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     main = closed_forms.get("closed_form")
     return VerifyReport(

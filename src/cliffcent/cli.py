@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .blades import Signature, format_blade, index_lists, make_signature
+from .blades import Signature, format_blade, index_lists, make_signature, parse_int
 from .centralizers import (
     SWEEP_MAX_DIM,
     CentralizerKind,
@@ -44,7 +44,7 @@ def _parse_signature(text: str) -> Signature:
     if len(parts) != 3:
         raise ValueError(f"signature must be p,q,r — got {text!r}")
     try:
-        p, q, r = (int(x) for x in parts)
+        p, q, r = map(parse_int, parts)
     except ValueError:
         raise ValueError(f"signature must be three integers — got {text!r}") from None
     return make_signature(p, q, r)
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep all signatures and cross-check routes")
     # argparse runs a string default through ``type``, so a non-integer
     # environment value exits 1 like a bad --max-dim.
-    verify.add_argument("--max-dim", type=int,
+    verify.add_argument("--max-dim", type=parse_int,
                         default=os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND),
                         metavar="N", help="largest generator count to sweep")
     verify.add_argument("--targets", choices=("grades", "qtypes", "pairs", "all"),

@@ -5,6 +5,10 @@ Fraction), never float.  The public constructors store Fractions; the
 nullspace oracle's private probe holds ints, which stay exact under
 products and sums.  Every verification in this package reduces to exact
 identities between such maps, so no floating point appears anywhere.
+
+Inverses, and so the adjoint actions, are this package's one caller of
+``_linalg``: they solve T X = 1 on the left-regular matrix by exact
+elimination.  The nullspace oracle needs none, as its system is diagonal.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ conventions make the closed-form constructors total:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence, Tuple
@@ -26,6 +25,7 @@ from .blades import (
     check_blade,
     format_blade,
     hat_sign,
+    parse_int,
     tilde_sign,
 )
 
@@ -134,9 +134,21 @@ def product_span(a: Subspace, b: Subspace) -> Subspace:
     return _make(a.signature, (x | y for x in a.blades for y in b.blades))
 
 
+def _grade_runs(sig: Signature, first: int, width: int,
+                grades: Iterable[int]) -> Subspace:
+    """Blades over generators first+1..first+width whose grade is one of
+    ``grades`` (each in [0, width]): whole grade runs of the width-generator
+    table, each mask shifted up by ``first`` bits."""
+    order, _, starts = blade_table(width)
+    runs = chain.from_iterable(order[starts[k]:starts[k + 1]] for k in grades)
+    return _make(sig, map((1 << first).__mul__, runs) if first else runs)
+
+
 def parity_subspace(sig: Signature, l: int) -> Subspace:
     """Cl^(0) (l=0) or Cl^(1) (l=1)."""
-    return parity_part(full_algebra(sig), l)
+    if l not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {l}")
+    return _grade_runs(sig, 0, sig.n, range(l, sig.n + 1, 2))
 
 
 def parity_part(s: Subspace, l: int) -> Subspace:
@@ -147,7 +159,7 @@ def parity_part(s: Subspace, l: int) -> Subspace:
 
 def lambda_even(sig: Signature) -> Subspace:
     """Lambda^(0): the even part of the degenerate exterior subalgebra."""
-    return parity_part(lambda_full(sig), 0)
+    return _grade_runs(sig, sig.p + sig.q, sig.r, range(0, sig.r + 1, 2))
 
 
 def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
@@ -162,13 +174,12 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
     want_hat = -1 if m & 1 else 1
     want_tilde = -1 if (m * (m - 1) // 2) & 1 else 1
-    order, _, starts = blade_table(sig.n)
-    runs = []
+    grades = []
     for k in range(sig.n + 1):
         first = (1 << k) - 1  # the first blade of grade k
         if hat_sign(first) == want_hat and tilde_sign(first) == want_tilde:
-            runs.append(order[starts[k]:starts[k + 1]])
-    return _make(sig, chain.from_iterable(runs))
+            grades.append(k)
+    return _grade_runs(sig, 0, sig.n, grades)
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Subspace:
@@ -212,9 +223,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 #
 # "+" is a direct sum, so the operands must be disjoint.
 
-_INT = re.compile(r"-?[0-9]+")
-
-
 @dataclass(frozen=True)
 class SubspaceSpec:
     """Parsed subspace expression; evaluation is deferred to a signature."""
@@ -224,12 +232,6 @@ class SubspaceSpec:
 
     def __str__(self) -> str:
         return self.text
-
-
-def _parse_int(text: str) -> int:
-    if not _INT.fullmatch(text):
-        raise ValueError(f"not an INT: {text!r}")
-    return int(text)
 
 
 def _parse_atom(atom: str, position: int) -> Tuple:
@@ -245,18 +247,18 @@ def _parse_atom(atom: str, position: int) -> Tuple:
         if ".." in body:
             lo_text, _, hi_text = body.partition("..")
             try:
-                return ("grade_range", _parse_int(lo_text), _parse_int(hi_text))
+                return ("grade_range", parse_int(lo_text), parse_int(hi_text))
             except ValueError:
                 raise ValueError(
                     f"bad grade range {body!r} at position {position}") from None
         try:
-            return ("grade", _parse_int(body))
+            return ("grade", parse_int(body))
         except ValueError:
             raise ValueError(f"bad grade {body!r} at position {position}") from None
     if atom.startswith("lambda:"):
         body = atom[len("lambda:"):]
         try:
-            return ("lambda", _parse_int(body))
+            return ("lambda", parse_int(body))
         except ValueError:
             raise ValueError(f"bad lambda grade {body!r} at position {position}") from None
     if atom.startswith("qt:"):

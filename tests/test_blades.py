@@ -26,6 +26,7 @@ from cliffcent.blades import (
     index_lists,
     make_signature,
     parse_blade,
+    parse_int,
     tilde_sign,
 )
 
@@ -212,7 +213,22 @@ class TestParseFormat:
         assert format_blade(0) == "e[]"
         assert format_blade(blade_from_indices((1, 3))) == "e[1,3]"
 
-    @pytest.mark.parametrize("bad", ["", "e", "e[", "e[0]", "e[2,1]", "e[1,1]", "[1]"])
+    # the last two: Arabic-Indic and full-width digits
+    @pytest.mark.parametrize("bad", ["", "e", "e[", "e[0]", "e[2,1]", "e[1,1]", "[1]",
+                                     "e[\u0661,\u0662]", "e[\uff11]"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_blade(bad)
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3),
+                                             ("007", 7), ("1000000000", 10**9)])
+    def test_accepts_ascii_integers(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("bad", ["", "-", "+1", "1_0", " 1", "1 ", "1.0",
+                                     "\uff11", "\u0663", "0x1"])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(ValueError, match="not an INT"):
+            parse_int(bad)

@@ -304,7 +304,7 @@ class TestNullspaceOracle:
             nullspace_centralizer_oracle(sig, grade_subspace(sig, 1), PLAIN)
 
 
-def per_pair_oracle(sig, s, kind):
+def per_pair_rows(sig, s, kind):
     """Reference assembly: one row per (v, result blade), built from two
     basis-blade products per pair (v, x)."""
     order = list(all_blades(sig))
@@ -317,7 +317,13 @@ def per_pair_oracle(sig, s, kind):
             left = (grade_involute(x_mv) if twist else x_mv) * v_mv
             for r, c in (left - v_mv * x_mv).terms().items():
                 rows.setdefault((v, r), {})[j] = c
-    vectors = _linalg.nullspace(list(rows.values()), len(order))
+    return list(rows.values())
+
+
+def per_pair_oracle(sig, s, kind):
+    """The per-pair rows solved by general elimination."""
+    order = list(all_blades(sig))
+    vectors = _linalg.nullspace(per_pair_rows(sig, s, kind), len(order))
     basis = [Multivector.from_terms(sig, [(order[j], c) for j, c in vec.items()])
              for vec in vectors]
     return len(basis), basis
@@ -331,6 +337,17 @@ def oracle_cases():
             yield sig, subspace_from_text(sig, target)
     for sig, a, _ in random_disjoint_pairs():
         yield sig, a
+
+
+class TestDiagonalSystem:
+    """The premise of the oracle's diagonal read: column x under blade v
+    lands only on row x XOR v, so every constraint row has one column."""
+
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_every_per_pair_row_has_one_column(self, kind):
+        for sig, s in oracle_cases():
+            rows = per_pair_rows(sig, s, kind)
+            assert all(len(row) == 1 for row in rows), (sig, s)
 
 
 class TestOracleAssembly:
@@ -613,6 +630,20 @@ class TestVerifyCase:
         report = verify_case(sig, target, PLAIN, with_nullspace=False)
         assert report.matches["closed_form"] is False
         assert report.diff[key] == want
+
+    def test_oracle_diff_names_the_blades(self, monkeypatch):
+        # the centralizer of the bivectors of Cl(3,0,0) is e[], e[1,2,3]
+        sig = make_signature(3, 0, 0)
+        wrong = [Multivector.basis_blade(sig, b)
+                 for b in sorted(blades(sig, (2, 3), (3,), ()), reverse=True)]
+        monkeypatch.setattr(centralizers, "nullspace_centralizer_oracle",
+                            lambda sig, s, kind: (len(wrong), wrong))
+        report = verify_case(sig, "grade:2", PLAIN, with_nullspace=True)
+        assert report.matches == {"closed_form": True, "small_grade": True,
+                                  "nondegenerate": True, "nullspace": False}
+        assert report.diff == {"nullspace_only_brute": ["e[1,2,3]"],
+                               "nullspace_only_oracle": ["e[3]", "e[2,3]"]}
+        assert "diff" not in report.to_json_dict()
 
     def test_nullspace_opt_out(self):
         sig = make_signature(1, 1, 0)

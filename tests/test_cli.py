@@ -174,6 +174,34 @@ class TestVerifyCommand:
         assert lines[-1] == "FAIL: 24 cases, 1 mismatches"
         assert len(lines) == 26
 
+    def test_oracle_mismatch_text_names_the_blades(self, capsys, monkeypatch):
+        original = centralizers.nullspace_centralizer_oracle
+
+        def drops_its_last_blade(sig, s, kind):
+            dim, basis = original(sig, s, kind)
+            if (sig.p, sig.q, sig.r) == (2, 0, 0):
+                return dim - 1, basis[:-1]
+            return dim, basis
+
+        monkeypatch.setattr(centralizers, "nullspace_centralizer_oracle",
+                            drops_its_last_blade)
+        code, out, _ = run(capsys, "verify", "--max-dim", "2",
+                           "--targets", "grades", "--kinds", "plain")
+        assert code == 2
+        lines = out.splitlines()
+        mismatches = [at for at, line in enumerate(lines)
+                      if line.startswith("MISMATCH")]
+        assert [(lines[at], lines[at + 1]) for at in mismatches] == [
+            ("MISMATCH Cl(2,0,0) plain grade:0 (4 blades)",
+             "  nullspace_only_brute: e[1,2]"),
+            ("MISMATCH Cl(2,0,0) plain grade:1 (1 blades)",
+             "  nullspace_only_brute: e[]"),
+            ("MISMATCH Cl(2,0,0) plain grade:2 (2 blades)",
+             "  nullspace_only_brute: e[1,2]"),
+        ]
+        assert lines[-1] == "FAIL: 24 cases, 3 mismatches"
+        assert len(lines) == 28
+
     def test_small_sweep_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-dim", "2",
                            "--targets", "grades", "--format", "json")
@@ -201,6 +229,25 @@ class TestVerifyCommand:
         assert code == 1
         assert "--max-dim" in err
 
+    # a digit separator, a full-width digit, a sign, a space
+    @pytest.mark.parametrize("bad", ["0_2", "\uff13", "+3", " 3"])
+    def test_bound_must_be_an_ascii_integer(self, capsys, bad):
+        code, out, err = run(capsys, "verify", "--max-dim", bad)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--max-dim" in errors[0]
+
+    def test_env_var_must_be_an_ascii_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv(SWEEP_BOUND_ENV, "0_7")
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--max-dim" in errors[0]
+
     def test_env_var_sets_default_bound(self, monkeypatch):
         monkeypatch.setenv(SWEEP_BOUND_ENV, "3")
         args = build_parser().parse_args(["verify"])
@@ -224,6 +271,19 @@ class TestVerifyCommand:
         monkeypatch.delenv(SWEEP_BOUND_ENV, raising=False)
         args = build_parser().parse_args(["verify"])
         assert args.max_dim == DEFAULT_SWEEP_BOUND
+
+
+class TestSignatureArgument:
+    # a digit separator, a full-width digit, a sign, a space
+    @pytest.mark.parametrize("bad", ["1_0,0,0", "\uff11,0,0", "+1,0,0", "1, 0,0"])
+    @pytest.mark.parametrize("command", [
+        ["center"], ["table1"],
+        ["centralizer", "--subspace", "grade:1", "--kind", "plain"]])
+    def test_parts_must_be_ascii_integers(self, capsys, command, bad):
+        code, out, err = run(capsys, *command, "--signature", bad)
+        assert_one_error_line(code, out, err)
+        assert err == ("cliffcent: error: signature must be three integers "
+                       f"— got {bad!r}\n")
 
 
 class TestTable1Command:

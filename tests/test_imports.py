@@ -1,7 +1,9 @@
 """Every module uses each name it imports (a stdlib stand-in for a linter).
 
-``__init__.py`` is skipped because its imports are the package's exports,
-and ``__future__`` imports are directives, not names.
+The package, the tests and the benchmark harness under ``perfbench/`` are
+scanned; the scan only reads them.  ``__init__.py`` is skipped because its
+imports are the package's exports, and ``__future__`` imports are
+directives, not names.
 """
 
 import ast
@@ -13,8 +15,10 @@ import cliffcent
 
 PACKAGE_DIR = Path(cliffcent.__file__).parent
 TESTS_DIR = Path(__file__).parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 MODULES = sorted(
-    path for path in [*PACKAGE_DIR.glob("*.py"), *TESTS_DIR.glob("*.py")]
+    path for path in [*PACKAGE_DIR.glob("*.py"), *TESTS_DIR.glob("*.py"),
+                      *PERFBENCH_DIR.glob("*.py")]
     if path.name != "__init__.py")
 
 

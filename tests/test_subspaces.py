@@ -135,6 +135,19 @@ class TestConstructorDefinitions:
             parity_subspace(SIG, 2)
 
 
+class TestGradeRuns:
+    """parity_subspace and lambda_even read whole grade runs of the blade
+    table; they must equal the parity filter of what they restrict."""
+
+    def test_equal_the_parity_part(self):
+        for sig in [*all_signatures(8), make_signature(16, 0, 0),
+                    make_signature(4, 0, 12)]:
+            for l in (0, 1):
+                assert parity_subspace(sig, l) == \
+                    parity_part(full_algebra(sig), l), (sig, l)
+            assert lambda_even(sig) == parity_part(lambda_full(sig), 0), sig
+
+
 class TestProductSpan:
     def test_spans_products(self):
         s = product_span(nondeg_grade_subspace(SIG, 1), lambda_subspace(SIG, 1))
