@@ -219,7 +219,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 #   atom  := "grade:" INT | "grade:" INT ".." INT | "lambda:" INT
 #          | "even" | "odd" | "qt:" DIGIT | "qt:" DIGIT DIGIT | "all"
 #   spec  := atom ("+" atom)*
-#   INT   := "-"? [0-9]+        (ASCII digits only)
+#   INT   := "-"? [0-9]+        (ASCII digits only; blades.parse_int)
 #
 # "+" is a direct sum, so the operands must be disjoint.
 

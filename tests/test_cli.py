@@ -231,17 +231,14 @@ class TestVerifyCommand:
 
     # a digit separator, a full-width digit, a sign, a space
     @pytest.mark.parametrize("bad", ["0_2", "\uff13", "+3", " 3"])
-    def test_bound_must_be_an_ascii_integer(self, capsys, bad):
-        code, out, err = run(capsys, "verify", "--max-dim", bad)
-        assert code == 1
-        assert out == ""
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1
-        assert "--max-dim" in errors[0]
-
-    def test_env_var_must_be_an_ascii_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv(SWEEP_BOUND_ENV, "0_7")
-        code, out, err = run(capsys, "verify")
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_bound_must_be_an_ascii_integer(self, capsys, monkeypatch,
+                                            from_env, bad):
+        if from_env:
+            monkeypatch.setenv(SWEEP_BOUND_ENV, bad)
+            code, out, err = run(capsys, "verify")
+        else:
+            code, out, err = run(capsys, "verify", "--max-dim", bad)
         assert code == 1
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
