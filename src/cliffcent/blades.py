@@ -69,7 +69,7 @@ class Signature:
 def make_signature(p: int, q: int, r: int) -> Signature:
     """Validate and build a Signature; n = p+q+r must lie in [1, 16]."""
     for name, value in (("p", p), ("q", q), ("r", r)):
-        if not isinstance(value, int) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     n = p + q + r
     if n < 1:

@@ -236,40 +236,29 @@ def center_closed_form(sig: Signature) -> Subspace:
     return lambda_even(sig)
 
 
-def _general_even_plain(sig: Signature, m: int) -> Subspace:
+def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
+    """Plain or grade-twisted centralizer of Cl^m, for 1 <= m <= n; right
+    for r = n too, where ``_grassmann_form`` is the faster route.
+
+    T_f is the sum of Cl^k_{p,q,0} Lambda^{>= n-m+j}, j = (k + f) mod 2,
+    over k in 0..m-1 with k + j <= m - 1, plus Cl^n when m + f is even.
+    Plain with m even and hat with m odd give Lambda^{<= n-m-1} + T_0;
+    the other two keep its even part and take their odd part from T_1.
+    """
     n = sig.n
-    parts = [lambda_range(sig, 0, n - m - 1)]
-    parts += [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(1, m - 2, 2)]
-    parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(0, m - 1, 2)]
-    parts.append(grade_subspace(sig, n))
-    return _assemble(sig, parts)
 
+    def terms(f: int) -> List[Subspace]:
+        parts = [_nondeg_times_lam_ge(sig, k, n - m + (k + f) % 2)
+                 for k in range(m) if k + (k + f) % 2 <= m - 1]
+        if (m + f) % 2 == 0:
+            parts.append(grade_subspace(sig, n))
+        return parts
 
-def _general_even_twisted(sig: Signature, m: int) -> Subspace:
-    n = sig.n
-    even_half = parity_part(_general_even_plain(sig, m), 0)
-    odd_parts = [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(0, m - 1, 2)]
-    odd_parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(1, m, 2)]
-    odd_half = parity_part(_assemble(sig, odd_parts), 1)
-    return direct_sum([even_half, odd_half])
-
-
-def _general_odd_twisted(sig: Signature, m: int) -> Subspace:
-    n = sig.n
-    parts = [lambda_range(sig, 0, n - m - 1)]
-    parts += [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(1, m - 1, 2)]
-    parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(0, m, 2)]
-    return _assemble(sig, parts)
-
-
-def _general_odd_plain(sig: Signature, m: int) -> Subspace:
-    n = sig.n
-    even_half = parity_part(_general_odd_twisted(sig, m), 0)
-    odd_parts = [_nondeg_times_lam_ge(sig, k, n - m + 1) for k in range(0, m - 2, 2)]
-    odd_parts += [_nondeg_times_lam_ge(sig, k, n - m) for k in range(1, m - 1, 2)]
-    odd_parts.append(grade_subspace(sig, n))
-    odd_half = parity_part(_assemble(sig, odd_parts), 1)
-    return direct_sum([even_half, odd_half])
+    whole = _assemble(sig, [lambda_range(sig, 0, n - m - 1)] + terms(0))
+    if (kind is CentralizerKind.PLAIN) == (m % 2 == 0):
+        return whole
+    return direct_sum([parity_part(whole, 0),
+                       parity_part(_assemble(sig, terms(1)), 1)])
 
 
 def _grassmann_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
@@ -296,7 +285,13 @@ def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
 
 def closed_form_grade(sig: Signature, m: int,
                       kind: CentralizerKind) -> Subspace:
-    """Closed form of the kind's centralizer of the grade-m subspace."""
+    """Closed form of the kind's centralizer of the grade-m subspace.
+
+    Every 1 <= m <= n comes from one general formula, ``_general_form``:
+    low exterior degrees plus products of non-degenerate grades with
+    exterior tails, split by parity.  Exterior algebras (r = n) take a
+    shortcut to the same blade sets.
+    """
     kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
         return full_algebra(sig)
@@ -306,13 +301,7 @@ def closed_form_grade(sig: Signature, m: int,
         return parity_subspace(sig, 0)
     if sig.r == sig.n:
         return _grassmann_form(sig, m, kind)
-    if m % 2 == 0:
-        if kind is CentralizerKind.PLAIN:
-            return _general_even_plain(sig, m)
-        return _general_even_twisted(sig, m)
-    if kind is CentralizerKind.PLAIN:
-        return _general_odd_plain(sig, m)
-    return _general_odd_twisted(sig, m)
+    return _general_form(sig, m, kind)
 
 
 def closed_form_small_grade(sig: Signature, m: int,

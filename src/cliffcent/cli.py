@@ -50,6 +50,13 @@ def _parse_signature(text: str) -> Signature:
     return make_signature(p, q, r)
 
 
+def _max_dim(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}") from None
+
+
 def _blade_line(blades: Sequence[int]) -> str:
     if not blades:
         return "{0}"
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of Clifford algebras Cl(p,q,r).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cent = sub.add_parser("centralizer", parents=[],
+    cent = sub.add_parser("centralizer",
                           help="centralizer of one subspace in one algebra")
     cent.add_argument("--signature", required=True, metavar="p,q,r")
     cent.add_argument("--subspace", required=True, metavar="SPEC",
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep all signatures and cross-check routes")
     # argparse runs a string default through ``type``, so a non-integer
     # environment value exits 1 like a bad --max-dim.
-    verify.add_argument("--max-dim", type=parse_int,
+    verify.add_argument("--max-dim", type=_max_dim,
                         default=os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND),
                         metavar="N", help="largest generator count to sweep")
     verify.add_argument("--targets", choices=("grades", "qtypes", "pairs", "all"),

@@ -48,7 +48,8 @@ class TestSignature:
         assert sig.degenerate_mask == 0b1100
         assert sig.full_mask == 0b1111
 
-    @pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 0, 0), (17, 0, 0), (8, 8, 1)])
+    @pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 0, 0), (17, 0, 0), (8, 8, 1),
+                                     (True, 0, 0), (1, 0, False)])
     def test_rejects_bad_triples(self, bad):
         with pytest.raises(ValueError):
             make_signature(*bad)

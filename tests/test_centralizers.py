@@ -22,6 +22,8 @@ from cliffcent.centralizers import (
     CentralizerKind,
     Table1Row,
     _assemble,
+    _general_form,
+    _grassmann_form,
     all_signatures,
     brute_force_centralizer,
     center_closed_form,
@@ -415,6 +417,27 @@ class TestClosedFormGrade:
                 got = closed_form_grade(sig, m, kind)
                 want = brute_force_centralizer(sig, grade_subspace(sig, m), kind)
                 assert got == want, (sig, m, kind)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_matches_brute_force_past_eight_generators(self, n):
+        # neither route reads the metric signs, so one Cl(n-r,0,r) per r
+        # stands for every signature with that n and r
+        for r in range(n + 1):
+            sig = make_signature(n - r, 0, r)
+            for m in range(n + 1):
+                target = grade_subspace(sig, m)
+                for kind in CentralizerKind:
+                    want = brute_force_centralizer(sig, target, kind)
+                    assert closed_form_grade(sig, m, kind) == want, (sig, m, kind)
+
+    def test_exterior_shortcut_equals_the_general_formula(self):
+        for n in range(1, 13):
+            sig = make_signature(0, 0, n)
+            for m in range(1, n + 1):
+                # tilde on a single grade is plain or hat
+                for kind in (PLAIN, HAT):
+                    assert _grassmann_form(sig, m, kind) == \
+                        _general_form(sig, m, kind), (sig, m, kind)
 
 
 class TestSmallGradeTable:

@@ -244,6 +244,7 @@ class TestVerifyCommand:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "--max-dim" in errors[0]
+        assert "parse_int" not in err
 
     def test_env_var_sets_default_bound(self, monkeypatch):
         monkeypatch.setenv(SWEEP_BOUND_ENV, "3")
