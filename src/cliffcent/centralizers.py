@@ -35,6 +35,7 @@ from .multivector import Multivector
 from .subspaces import (
     Subspace,
     SubspaceSpec,
+    difference,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -107,17 +108,13 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
         raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    v = np.fromiter(s.blades, dtype=np.intp, count=len(s.blades))
-    # the factor multiplying |x| in the exponent, mod 2: row 2 when set
-    if kind is CentralizerKind.PLAIN:
-        x_factor = np.bitwise_count(v) & 1
-    elif kind is CentralizerKind.GRADE_TWISTED:
-        x_factor = (np.bitwise_count(v) & 1) ^ 1
-    else:
-        x_factor = 0
     rows = np.zeros((3, 1 << sig.n), dtype=np.int64)
-    rows[0, v] = 1
-    rows[1 + x_factor, v] = 1
+    rows[0] = s.indicator()
+    # row 2: the blades v of S whose factor multiplying |x| in the exponent
+    # is odd, which are the odd v for plain and the even v for hat
+    if kind is not CentralizerKind.MIX_TWISTED:
+        rows[2] = parity_part(s, int(kind is CentralizerKind.PLAIN)).indicator()
+    rows[1] = rows[0] - rows[2]
     # Each step transforms the width lowest bits of the index and rotates
     # them to the top, so after all n bits every index is back in its place.
     done = 0
@@ -128,7 +125,7 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
         rows = rows.transpose(0, 2, 1)
         done += width
     a, b, b_complement = rows.reshape(3, -1)
-    return Subspace(sig, frozenset(np.flatnonzero(a == b + b_complement).tolist()))
+    return Subspace.from_indicator(sig, a == b + b_complement)
 
 
 # -- route two: exact nullspace of the defining linear system -------------------
@@ -203,21 +200,15 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
     product term; any other duplicate blade means the formula was assembled
     wrongly, so it raises.
     """
-    pseudoscalar = sig.full_mask
-    acc: set = set()
+    others = ~(1 << sig.full_mask)  # every bit but the pseudoscalar's
+    acc = 0
     for part in parts:
-        overlap = acc & part.blades
-        if overlap - {pseudoscalar}:
-            bad = format_blade(min(overlap - {pseudoscalar}))
+        overlap = acc & part.mask & others
+        if overlap:
+            bad = format_blade((overlap & -overlap).bit_length() - 1)
             raise ValueError(f"closed-form terms overlap at {bad}")
-        acc |= part.blades
-    return Subspace(sig, frozenset(acc))
-
-
-def _formatted_in_order(sig: Signature, blades: frozenset) -> List[str]:
-    """The blades as text, in the global enumeration order."""
-    rank = blade_table(sig.n).rank
-    return [format_blade(b) for b in sorted(blades, key=rank.__getitem__)]
+        acc |= part.mask
+    return Subspace(sig, acc)
 
 
 def _nondeg_times_lam_ge(sig: Signature, k: int, d: int) -> Subspace:
@@ -522,9 +513,9 @@ def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],
     via_intersection = intersect(closed_form_qt(sig, k, kind),
                                  closed_form_qt(sig, m, kind))
     via_table = _explicit_qt_pair(sig, ordered, kind)
-    if via_intersection.blades != via_table.blades:
-        only_int = _formatted_in_order(sig, via_intersection.blades - via_table.blades)
-        only_tab = _formatted_in_order(sig, via_table.blades - via_intersection.blades)
+    if via_intersection.mask != via_table.mask:
+        only_int = difference(via_intersection, via_table).names()
+        only_tab = difference(via_table, via_intersection).names()
         raise RuntimeError(
             f"{sig} qt pair {ordered} ({kind.value}): intersection and "
             f"explicit form disagree; only-intersection={only_int}, "
@@ -567,6 +558,7 @@ class VerifyReport:
             "nullspace_dim": self.nullspace_dim,
             "matches": dict(self.matches),
             "match": self.match,
+            "diff": dict(self.diff),
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -626,13 +618,11 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
     diff: Dict[str, List[str]] = {}
     closed_forms = _closed_forms_for_target(sig, spec, kind)
     for name, form in closed_forms.items():
-        agree = form.blades == brute.blades
+        agree = form.mask == brute.mask
         matches[name] = agree
         if not agree:
-            diff[name + "_only_brute"] = _formatted_in_order(
-                sig, brute.blades - form.blades)
-            diff[name + "_only_closed"] = _formatted_in_order(
-                sig, form.blades - brute.blades)
+            diff[name + "_only_brute"] = difference(brute, form).names()
+            diff[name + "_only_closed"] = difference(form, brute).names()
     nullspace_dim = None
     run_nullspace = (with_nullspace if with_nullspace is not None
                      else sig.n <= ORACLE_LEG_MAX_DIM)
@@ -641,11 +631,10 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
         matches["nullspace"] = nullspace_matches_blades(
             nullspace_dim, basis, brute.blades)
         if not matches["nullspace"]:
-            support = frozenset(b for mv in basis for b in mv.blades())
-            diff["nullspace_only_brute"] = _formatted_in_order(
-                sig, brute.blades - support)
-            diff["nullspace_only_oracle"] = _formatted_in_order(
-                sig, support - brute.blades)
+            support = Subspace.from_blades(
+                sig, {b for mv in basis for b in mv.blades()})
+            diff["nullspace_only_brute"] = difference(brute, support).names()
+            diff["nullspace_only_oracle"] = difference(support, brute).names()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     main = closed_forms.get("closed_form")
     return VerifyReport(
@@ -785,7 +774,7 @@ def table1_rows(sig: Signature) -> List[Table1Row]:
         matches = tuple(
             brute_force_centralizer(
                 sig, subspace_from_text(sig, target), kind
-            ).blades == reduced.blades
+            ).mask == reduced.mask
             for target in targets)
         rows.append(Table1Row(label, kind, targets, reduction,
                               reduced, matches))

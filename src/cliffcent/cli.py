@@ -142,7 +142,7 @@ def _cmd_center(args) -> int:
     brute = brute_force_centralizer(sig, full_algebra(sig),
                                     CentralizerKind.PLAIN)
     closed = center_closed_form(sig)
-    agree = brute.blades == closed.blades
+    agree = brute.mask == closed.mask
     if args.format == "json":
         payload = {
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
@@ -154,7 +154,7 @@ def _cmd_center(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"center of {sig}")
-        print(_blade_line(brute.sorted_blades()))
+        print(brute)
         print("closed form: agrees" if agree else "closed form: MISMATCH")
     return 0 if agree else 2
 
@@ -194,8 +194,7 @@ def _cmd_table1(args) -> int:
         print(f"centralizer reductions in {sig}")
         for row in rows:
             flag = "MATCH" if row.match else "MISMATCH"
-            blades = _blade_line(row.subspace.sorted_blades())
-            print(f"{row.label} | {row.reduction} | {blades} | {flag}")
+            print(f"{row.label} | {row.reduction} | {row.subspace} | {flag}")
     return 0 if all_match else 2
 
 

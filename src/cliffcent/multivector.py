@@ -1,9 +1,9 @@
 """Sparse multivectors with exact rational coefficients.
 
 A multivector is a map from basis blades to nonzero exact rationals (int or
-Fraction), never float.  The public constructors store Fractions; the
-nullspace oracle's private probe holds ints, which stay exact under
-products and sums.  Every verification in this package reduces to exact
+Fraction), never float.  The public constructors store Fractions and
+refuse any other coefficient type; the nullspace oracle's private probe
+holds ints, which stay exact under products and sums.  Every verification in this package reduces to exact
 identities between such maps, so no floating point appears anywhere.
 
 Inverses, and so the adjoint actions, are this package's one caller of
@@ -34,6 +34,14 @@ from .blades import (
 Rational = Union[int, Fraction]
 
 
+def _exact(value: Rational) -> Fraction:
+    """``value`` as a Fraction; a float (or anything but int and Fraction)
+    is refused, since ``Fraction(0.1)`` is the binary float's value, not 1/10."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficient {value!r} is not an int or Fraction")
+    return Fraction(value)
+
+
 class Multivector:
     """Element of Cl(p,q,r) as a sparse blade -> exact rational map.
 
@@ -55,7 +63,7 @@ class Multivector:
         acc: Dict[Blade, Fraction] = {}
         for blade, coeff in terms:
             check_blade(sig, blade)
-            c = acc.get(blade, 0) + Fraction(coeff)
+            c = acc.get(blade, 0) + _exact(coeff)
             if c:
                 acc[blade] = c
             else:
@@ -135,7 +143,7 @@ class Multivector:
         return self._combine(other, operator.sub)
 
     def scale(self, c: Rational) -> "Multivector":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Multivector(self.signature, {})
         return Multivector(self.signature,

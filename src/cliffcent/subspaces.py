@@ -1,10 +1,12 @@
 """Blade-spanned subspaces of Cl(p,q,r) and a small textual spec language.
 
-Every subspace handled here is the span of a set of basis blades, so the
-data model is simply (signature, frozenset of blade masks).  Each graded
-constructor is a union of whole grades over a run of consecutive
-generators, so it reads its blades off ``blades.blade_table``.  The range
-conventions make the closed-form constructors total:
+Every subspace handled here is the span of a set of basis blades.  Blades
+are the elements of (Z/2)^n, so the data model is (signature, mask): one
+2^n-bit int whose bit b is set when blade b is in the span.  Unions,
+intersections, parity parts and comparisons are single int operations.
+Each graded constructor is a union of whole grades over a run of
+consecutive generators, read from one cached mask per run and grade set.
+The range conventions make the closed-form constructors total:
 
 * grades of the full algebra live in [0, n]; anything outside is empty;
 * grades of the degenerate exterior subalgebra live in [0, r];
@@ -14,9 +16,9 @@ conventions make the closed-form constructors total:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .blades import (
     Blade,
@@ -29,63 +31,151 @@ from .blades import (
     tilde_sign,
 )
 
+# Masks with up to this many blades are scanned with int operations;
+# larger ones go through numpy (imported on first use, as in
+# ``blades.blade_table``).
+_INT_SCAN_BLADES = 32
 
-@dataclass(frozen=True)
+
+def _unpack(mask: int, size: int):
+    """The low ``size`` bits of ``mask`` as a 0/1 uint8 array."""
+    import numpy as np
+
+    data = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=size, bitorder="little")
+
+
+def _pack(indicator) -> int:
+    """The int whose bit b is set when ``indicator[b]`` is nonzero."""
+    import numpy as np
+
+    return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(),
+                          "little")
+
+
+def _set_bits(mask: int) -> List[Blade]:
+    """The positions of the set bits of ``mask``, ascending."""
+    if mask.bit_count() > _INT_SCAN_BLADES:
+        import numpy as np
+
+        return np.flatnonzero(_unpack(mask, mask.bit_length())).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _order_array(n: int):
+    """``blade_table(n).order`` as a numpy array."""
+    import numpy as np
+
+    return np.array(blade_table(n).order)
+
+
+@dataclass(frozen=True, repr=False)
 class Subspace:
-    """A blade-spanned linear subspace; the zero subspace is the empty set."""
+    """A blade-spanned linear subspace: bit b of ``mask`` is set when blade
+    b spans it.  The zero subspace has mask 0."""
 
     signature: Signature
-    blades: frozenset
+    mask: int
+
+    def __repr__(self) -> str:
+        # hex: decimal conversion of an int above 4,300 digits (n >= 14) raises
+        return f"Subspace({self.signature}, {self.mask:#x})"
 
     def __post_init__(self):
-        # every blade lies in [0, full_mask] once the extremes do
-        if self.blades:
-            check_blade(self.signature, min(self.blades))
-            check_blade(self.signature, max(self.blades))
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.signature.n:
+            raise ValueError(f"mask {self.mask:#x} not valid for {self.signature}")
+
+    @classmethod
+    def from_blades(cls, sig: Signature, blades: Iterable[Blade]) -> "Subspace":
+        """The span of the given blades; each must be a blade of ``sig``."""
+        blades = list(blades)
+        for blade in blades:
+            if not isinstance(blade, int):
+                raise ValueError(f"blade {blade!r} is not an int mask")
+            check_blade(sig, blade)
+        import numpy as np
+
+        indicator = np.zeros(max(blades, default=-1) + 1, dtype=bool)
+        indicator[np.array(blades, dtype=np.intp)] = True
+        return cls.from_indicator(sig, indicator)
+
+    @classmethod
+    def from_indicator(cls, sig: Signature, indicator) -> "Subspace":
+        """The span of the blades b with ``indicator[b]`` nonzero, for a
+        numpy row of length 2^n."""
+        return cls(sig, _pack(indicator))
+
+    def indicator(self):
+        """The span as a 0/1 uint8 numpy row of length 2^n."""
+        return _unpack(self.mask, 1 << self.signature.n)
+
+    @property
+    def blades(self) -> frozenset:
+        """The blades as a set, read off the mask."""
+        return frozenset(_set_bits(self.mask))
 
     def sorted_blades(self) -> Tuple[Blade, ...]:
         """The blades in the global enumeration order."""
-        rank = blade_table(self.signature.n).rank
-        return tuple(sorted(self.blades, key=rank.__getitem__))
+        n = self.signature.n
+        if self.mask.bit_count() <= _INT_SCAN_BLADES:
+            rank = blade_table(n).rank
+            return tuple(sorted(_set_bits(self.mask), key=rank.__getitem__))
+        order = _order_array(n)
+        return tuple(order[self.indicator()[order] == 1].tolist())
+
+    def names(self) -> List[str]:
+        """The blades as text, in the global enumeration order."""
+        return [format_blade(b) for b in self.sorted_blades()]
 
     def dimension(self) -> int:
-        return len(self.blades)
+        return self.mask.bit_count()
 
     def __contains__(self, blade: Blade) -> bool:
-        return blade in self.blades
+        return isinstance(blade, int) and blade >= 0 and bool(self.mask >> blade & 1)
 
     def __str__(self) -> str:
-        if not self.blades:
-            return "{0}"
-        return ", ".join(format_blade(b) for b in self.sorted_blades())
+        return ", ".join(self.names()) or "{0}"
 
 
-def _make(sig: Signature, blades: Iterable[Blade]) -> Subspace:
-    return Subspace(sig, frozenset(blades))
+@functools.lru_cache(maxsize=None)
+def _grade_mask(first: int, width: int, grades: Tuple[int, ...]) -> int:
+    """Mask of the blades over generators first+1..first+width whose grade
+    is one of ``grades``: blade x of the width-generator algebra, shifted
+    up by ``first`` bits."""
+    import numpy as np
+
+    x = np.arange(1 << width)
+    indicator = np.zeros(1 << (first + width), dtype=bool)
+    indicator[x << first] = np.isin(np.bitwise_count(x), grades)
+    return _pack(indicator)
+
+
+def _parity_mask(n: int, l: int) -> int:
+    if l not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {l}")
+    return _grade_mask(0, n, tuple(range(l, n + 1, 2)))
 
 
 def zero_subspace(sig: Signature) -> Subspace:
-    return _make(sig, ())
+    return Subspace(sig, 0)
 
 
 def full_algebra(sig: Signature) -> Subspace:
-    return _make(sig, range(1 << sig.n))
+    return Subspace(sig, (1 << (1 << sig.n)) - 1)
 
 
 def _by_grade(sig: Signature, first: int, width: int,
               lo: int, hi: int) -> Subspace:
     """Blades over generators first+1..first+width with grade in [lo, hi],
-    the range clamped to [0, width].
-
-    They are grades lo..hi of the width-generator table, each mask shifted
-    up by ``first`` bits (multiplied by 2^first).
-    """
-    lo, hi = max(lo, 0), min(hi, width)
-    if lo > hi:
-        return zero_subspace(sig)
-    table = blade_table(width)
-    run = table.order[table.starts[lo]:table.starts[hi + 1]]
-    return _make(sig, map((1 << first).__mul__, run))
+    the range clamped to [0, width]."""
+    grades = tuple(range(max(lo, 0), min(hi, width) + 1))
+    return Subspace(sig, _grade_mask(first, width, grades))
 
 
 def grade_subspace(sig: Signature, k: int) -> Subspace:
@@ -115,51 +205,53 @@ def nondeg_grade_subspace(sig: Signature, k: int) -> Subspace:
     return _by_grade(sig, 0, sig.p + sig.q, k, k)
 
 
+def _support(s: Subspace) -> int:
+    """The generators any blade of S holds, as a mask.
+
+    Bit i is set when some blade >= 2^i remains once the bits above i have
+    been folded away; each fold ORs the upper half of the mask into its
+    lower half, dropping one generator from every blade.
+    """
+    mask, support = s.mask, 0
+    for i in reversed(range(s.signature.n)):
+        half = 1 << i
+        if mask >> half:
+            support |= half
+            mask = (mask | mask >> half) & ((1 << half) - 1)
+    return support
+
+
 def product_span(a: Subspace, b: Subspace) -> Subspace:
     """{ab : a-blade, b-blade} for index-disjoint factors.
 
     With disjoint supports the product of two blades never annihilates and
-    is again a single blade, so the span is just the set of unions.
+    is again a single blade, x | y = x + y, so the span is the union of the
+    larger factor's mask shifted up by each blade x of the smaller one.
     """
     if a.signature != b.signature:
         raise ValueError("signature mismatch in product_span")
-    support_a = 0
-    for x in a.blades:
-        support_a |= x
-    support_b = 0
-    for y in b.blades:
-        support_b |= y
-    if support_a & support_b:
+    if _support(a) & _support(b):
         raise ValueError("product_span factors must have disjoint index support")
-    return _make(a.signature, (x | y for x in a.blades for y in b.blades))
-
-
-def _grade_runs(sig: Signature, first: int, width: int,
-                grades: Iterable[int]) -> Subspace:
-    """Blades over generators first+1..first+width whose grade is one of
-    ``grades`` (each in [0, width]): whole grade runs of the width-generator
-    table, each mask shifted up by ``first`` bits."""
-    order, _, starts = blade_table(width)
-    runs = chain.from_iterable(order[starts[k]:starts[k + 1]] for k in grades)
-    return _make(sig, map((1 << first).__mul__, runs) if first else runs)
+    small, big = sorted((a, b), key=Subspace.dimension)
+    mask = 0
+    for x in _set_bits(small.mask):
+        mask |= big.mask << x
+    return Subspace(a.signature, mask)
 
 
 def parity_subspace(sig: Signature, l: int) -> Subspace:
     """Cl^(0) (l=0) or Cl^(1) (l=1)."""
-    if l not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {l}")
-    return _grade_runs(sig, 0, sig.n, range(l, sig.n + 1, 2))
+    return Subspace(sig, _parity_mask(sig.n, l))
 
 
 def parity_part(s: Subspace, l: int) -> Subspace:
-    if l not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {l}")
-    return _make(s.signature, (b for b in s.blades if b.bit_count() & 1 == l))
+    return Subspace(s.signature, s.mask & _parity_mask(s.signature.n, l))
 
 
 def lambda_even(sig: Signature) -> Subspace:
     """Lambda^(0): the even part of the degenerate exterior subalgebra."""
-    return _grade_runs(sig, sig.p + sig.q, sig.r, range(0, sig.r + 1, 2))
+    return Subspace(sig, _grade_mask(sig.p + sig.q, sig.r,
+                                     tuple(range(0, sig.r + 1, 2))))
 
 
 def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
@@ -168,7 +260,7 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
     Built from the two sign conditions, not from the grade mod 4 shortcut;
     the equivalence of the two descriptions is asserted by the test suite.
     Both signs depend on the grade alone, so each grade is tested once, on
-    its first blade, and its whole run of the table is kept or dropped.
+    its first blade, and kept or dropped whole.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
@@ -179,7 +271,7 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
         first = (1 << k) - 1  # the first blade of grade k
         if hat_sign(first) == want_hat and tilde_sign(first) == want_tilde:
             grades.append(k)
-    return _grade_runs(sig, 0, sig.n, grades)
+    return Subspace(sig, _grade_mask(0, sig.n, tuple(grades)))
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Subspace:
@@ -187,31 +279,38 @@ def direct_sum(parts: Sequence[Subspace]) -> Subspace:
     if not parts:
         raise ValueError("direct_sum of no subspaces has no signature")
     sig = parts[0].signature
-    acc: set = set()
+    acc = 0
     for part in parts:
         if part.signature != sig:
             raise ValueError("signature mismatch in direct_sum")
-        overlap = acc & part.blades
+        overlap = acc & part.mask
         if overlap:
-            sample = format_blade(next(iter(overlap)))
+            sample = format_blade((overlap & -overlap).bit_length() - 1)
             raise ValueError(f"direct_sum operands overlap (e.g. {sample})")
-        acc |= part.blades
-    return _make(sig, acc)
+        acc |= part.mask
+    return Subspace(sig, acc)
 
 
 def subspace_equals(a: Subspace, b: Subspace) -> bool:
-    return a.signature == b.signature and a.blades == b.blades
+    return a.signature == b.signature and a.mask == b.mask
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """True when A is a superset of B."""
-    return a.signature == b.signature and a.blades >= b.blades
+    return a.signature == b.signature and b.mask & ~a.mask == 0
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.signature != b.signature:
         raise ValueError("signature mismatch in intersect")
-    return _make(a.signature, a.blades & b.blades)
+    return Subspace(a.signature, a.mask & b.mask)
+
+
+def difference(a: Subspace, b: Subspace) -> Subspace:
+    """The blades of A that are not blades of B."""
+    if a.signature != b.signature:
+        raise ValueError("signature mismatch in difference")
+    return Subspace(a.signature, a.mask & ~b.mask)
 
 
 # -- the textual spec grammar ---------------------------------------------------

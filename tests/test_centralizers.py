@@ -117,7 +117,7 @@ class TestBruteForce:
 
     def test_empty_subspace_centralizes_to_everything(self):
         sig = make_signature(1, 1, 0)
-        empty = Subspace(sig, frozenset())
+        empty = Subspace.from_blades(sig, ())
         for kind in CentralizerKind:
             assert brute_force_centralizer(sig, empty, kind) == full_algebra(sig)
 
@@ -163,7 +163,7 @@ class TestBruteForce:
             size = 1 << sig.n
             for _ in range(6):
                 chosen = rng.sample(range(size), rng.randint(1, size))
-                s = Subspace(sig, frozenset(chosen))
+                s = Subspace.from_blades(sig, chosen)
                 got = brute_force_centralizer(sig, s, kind)
                 assert got.blades == slow_centralizer(sig, s, kind), (sig, chosen)
 
@@ -175,7 +175,7 @@ class TestBruteForce:
             size = 1 << sig.n
             for count in [0, 1, size] + [rng.randint(1, size) for _ in range(5)]:
                 chosen = rng.sample(range(size), count)
-                s = Subspace(sig, frozenset(chosen))
+                s = Subspace.from_blades(sig, chosen)
                 got = brute_force_centralizer(sig, s, kind)
                 assert got.blades == pair_kernel_centralizer(sig, s, kind), \
                     (sig, sorted(chosen))
@@ -185,7 +185,27 @@ class TestBruteForce:
         sig = Signature(0, 0, n)
         for kind in CentralizerKind:
             with pytest.raises(ValueError, match=f"n <= {MAX_DIM}, got n = {n}"):
-                brute_force_centralizer(sig, Subspace(sig, frozenset({1})), kind)
+                brute_force_centralizer(sig, Subspace.from_blades(sig, {1}), kind)
+
+
+class TestPackBoundary:
+    """Brute force reads S from the mask's bytes and packs its answer back
+    into them: 2, 4 and 8 blades at n = 1, 2 and 3 fill less than one byte
+    or exactly one, and n = 16 fills 8,192."""
+
+    @pytest.mark.parametrize("sig", all_signatures(3), ids=str)
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    @pytest.mark.parametrize("target", ["all", "grade:1"])
+    def test_small_algebras_match_the_reference(self, sig, kind, target):
+        s = subspace_from_text(sig, target)
+        got = brute_force_centralizer(sig, s, kind)
+        assert got.blades == slow_centralizer(sig, s, kind)
+
+    @pytest.mark.parametrize("pqr", [(0, 0, 16), (8, 4, 4), (2, 0, 14)])
+    def test_center_at_sixteen_generators(self, pqr):
+        sig = make_signature(*pqr)
+        got = brute_force_centralizer(sig, full_algebra(sig), PLAIN)
+        assert got == center_closed_form(sig)
 
 
 def random_disjoint_pairs():
@@ -198,8 +218,8 @@ def random_disjoint_pairs():
             pool = rng.sample(range(size), size)
             cut = rng.randint(1, size - 1)
             end = rng.randint(cut + 1, size)
-            yield (sig, Subspace(sig, frozenset(pool[:cut])),
-                   Subspace(sig, frozenset(pool[cut:end])))
+            yield (sig, Subspace.from_blades(sig, pool[:cut]),
+                   Subspace.from_blades(sig, pool[cut:end]))
 
 
 class TestCentralizerLaws:
@@ -236,7 +256,7 @@ class TestCentralizerLaws:
             brute = brute_force_centralizer(sig, a, kind).blades
             for split in (sig, make_signature(sig.p + sig.q, 0, sig.r)):
                 dim, basis = nullspace_centralizer_oracle(
-                    split, Subspace(split, a.blades), kind)
+                    split, Subspace.from_blades(split, a.blades), kind)
                 assert nullspace_matches_blades(dim, basis, brute), (split, a)
 
 
@@ -542,7 +562,7 @@ class TestQuaternionTypePairs:
     def test_disagreement_lists_blades_in_global_order(self, monkeypatch):
         sig = make_signature(3, 0, 0)  # the intersection is {e[], e[1,2,3]}
         monkeypatch.setattr(centralizers, "_explicit_qt_pair",
-                            lambda sig, pair, kind: Subspace(sig, blades(
+                            lambda sig, pair, kind: Subspace.from_blades(sig, blades(
                                 sig, (1, 3), (1, 2), (3,), (2,))))
         with pytest.raises(RuntimeError) as info:
             closed_form_qt_pair(sig, (1, 3), PLAIN)
@@ -649,7 +669,7 @@ class TestVerifyCase:
                                                closed, key, want):
         sig = make_signature(3, 0, 0)
         monkeypatch.setattr(centralizers, "closed_form_grade",
-                            lambda sig, m, kind: Subspace(sig, blades(sig, *closed)))
+                            lambda sig, m, kind: Subspace.from_blades(sig, blades(sig, *closed)))
         report = verify_case(sig, target, PLAIN, with_nullspace=False)
         assert report.matches["closed_form"] is False
         assert report.diff[key] == want
@@ -666,7 +686,9 @@ class TestVerifyCase:
                                   "nondegenerate": True, "nullspace": False}
         assert report.diff == {"nullspace_only_brute": ["e[1,2,3]"],
                                "nullspace_only_oracle": ["e[3]", "e[2,3]"]}
-        assert "diff" not in report.to_json_dict()
+        assert json.loads(json.dumps(report.to_json_dict()))["diff"] == {
+            "nullspace_only_brute": ["e[1,2,3]"],
+            "nullspace_only_oracle": ["e[3]", "e[2,3]"]}
 
     def test_nullspace_opt_out(self):
         sig = make_signature(1, 1, 0)

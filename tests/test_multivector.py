@@ -80,6 +80,18 @@ class TestConstruction:
             assert not w.is_zero()
             assert all(type(c) is Fraction for c in w.terms().values()), w
 
+    @pytest.mark.parametrize("build", [
+        lambda value: mv_from_terms(SIG, [(0, value)]),
+        lambda value: Multivector.scalar(SIG, value),
+        lambda value: Multivector.basis_blade(SIG, 1).scale(value),
+        lambda value: mv_scale(value, Multivector.basis_blade(SIG, 1)),
+    ])
+    @pytest.mark.parametrize("value", [0.1, 1e-300, 0.5, 2.0, 0.0, "1/2"])
+    def test_rejects_inexact_coefficients(self, build, value):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match=f"coefficient {value!r} is not"):
+            build(value)
+
 
 class TestArithmetic:
     def test_product_hand_checked(self):

@@ -1,6 +1,7 @@
 """Blade-set subspaces, their constructors, and the spec grammar."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -11,13 +12,15 @@ from cliffcent.blades import (
     blade_grade,
     blade_sort_key,
     blade_table,
+    format_blade,
     hat_sign,
     make_signature,
     tilde_sign,
 )
-from cliffcent.centralizers import all_signatures
+from cliffcent.centralizers import _assemble, all_signatures
 from cliffcent.subspaces import (
     Subspace,
+    difference,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -92,7 +95,7 @@ class TestConstructors:
     @pytest.mark.parametrize("blade", [1 << SIG.n, -1])
     def test_rejects_out_of_range_blade(self, blade):
         with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
-            Subspace(SIG, frozenset({0, blade, SIG.full_mask}))
+            Subspace.from_blades(SIG, {0, blade, SIG.full_mask})
 
 
 class TestConstructorDefinitions:
@@ -199,13 +202,123 @@ class TestQuaternionTypes:
             assert len(calls) <= sig.n + 1, m
 
 
+# one signature per n in 1..10, with n // 3 degenerate generators, and
+# two at n = 16
+BITMAP_SIGNATURES = [make_signature(n - n // 3, 0, n // 3) for n in range(1, 11)]
+BITMAP_SIGNATURES += [make_signature(12, 0, 4), make_signature(0, 0, 16)]
+
+
+def random_blade_sets(sig, rng):
+    """Seeded blade sets of sizes from empty to full; at n = 16 only a few."""
+    size = 1 << sig.n
+    sizes = [0, 1, rng.randint(2, 32), rng.randint(1, size), size]
+    if sig.n > 10:
+        sizes = [0, 1, 40, size // 2]
+    return [frozenset(rng.sample(range(size), min(k, size))) for k in sizes]
+
+
+class TestBitmapAgainstFrozensets:
+    """Every mask operation equals the same operation on frozensets."""
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_views(self, sig):
+        rng = random.Random(sig.n)
+        for a in random_blade_sets(sig, rng):
+            s = Subspace.from_blades(sig, a)
+            assert s.blades == a
+            assert s.dimension() == len(a)
+            assert list(s.sorted_blades()) == sorted(a, key=blade_sort_key)
+            probes = [-1, -(1 << 20), 1 << sig.n, 1 << 40,
+                      *rng.sample(range(1 << sig.n), min(64, 1 << sig.n))]
+            for blade in probes:
+                assert (blade in s) == (blade in a), blade
+            for blade in (1.0, "1", None, (1,)):
+                assert blade not in s
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_set_algebra(self, sig):
+        rng = random.Random(100 + sig.n)
+        sets = random_blade_sets(sig, rng)
+        for a in sets:
+            sa = Subspace.from_blades(sig, a)
+            for l in (0, 1):
+                assert parity_part(sa, l).blades == \
+                    {x for x in a if blade_grade(x) % 2 == l}
+            for b in sets:
+                sb = Subspace.from_blades(sig, b)
+                assert intersect(sa, sb).blades == a & b
+                assert difference(sa, sb).blades == a - b
+                assert subspace_equals(sa, sb) == (a == b)
+                assert subspace_contains(sa, sb) == (a >= b)
+                assert direct_sum([difference(sa, sb), sb]).blades == a | b
+                if a & b:
+                    lowest = format_blade(min(a & b))
+                    with pytest.raises(ValueError, match=re.escape(lowest)):
+                        direct_sum([sa, sb])
+                else:
+                    assert direct_sum([sa, sb]).blades == a | b
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_assemble_excepts_only_the_pseudoscalar(self, sig):
+        rng = random.Random(200 + sig.n)
+        top = frozenset({sig.full_mask})
+        for a in random_blade_sets(sig, rng):
+            b = frozenset(rng.sample(range(1 << sig.n), min(8, 1 << sig.n)))
+            parts = [Subspace.from_blades(sig, a | top),
+                     Subspace.from_blades(sig, (b - a) | top)]
+            assert _assemble(sig, parts).blades == a | b | top
+            overlap = (a & b) - top
+            if overlap:
+                parts = [Subspace.from_blades(sig, a), Subspace.from_blades(sig, b)]
+                bad = format_blade(min(overlap))
+                with pytest.raises(ValueError, match=re.escape(f"overlap at {bad}")):
+                    _assemble(sig, parts)
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_product_span(self, sig):
+        rng = random.Random(300 + sig.n)
+        for _ in range(4):
+            left = rng.getrandbits(sig.n)  # the generators of the first factor
+            right = sig.full_mask & ~left
+
+            def factor(support):
+                pool = [x for x in range(1 << sig.n) if x & ~support == 0]
+                return frozenset(rng.sample(pool, rng.randint(0, min(len(pool), 300))))
+
+            a, b = factor(left), factor(right)
+            sa, sb = Subspace.from_blades(sig, a), Subspace.from_blades(sig, b)
+            want = {x | y for x in a for y in b}
+            assert product_span(sa, sb).blades == want
+            assert product_span(sb, sa).blades == want
+            # one generator in both supports
+            shared = 1 << rng.randrange(sig.n)
+            sa = Subspace.from_blades(sig, a | {shared})
+            sb = Subspace.from_blades(sig, b | {shared})
+            with pytest.raises(ValueError, match="disjoint index support"):
+                product_span(sa, sb)
+        if sig.n >= 3:
+            # e1 is shared, and each factor holds it only below a higher index
+            sa = Subspace.from_blades(sig, {1 | 1 << (sig.n - 1)})
+            sb = Subspace.from_blades(sig, {1 | 1 << (sig.n - 2)})
+            with pytest.raises(ValueError, match="disjoint index support"):
+                product_span(sa, sb)
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_mask_bounds(self, sig):
+        top = 1 << (1 << sig.n)
+        assert Subspace(sig, top - 1) == full_algebra(sig)
+        for mask in (-1, top, top | 1, -top):
+            with pytest.raises(ValueError, match="not valid for"):
+                Subspace(sig, mask)
+
+
 class TestSortedBlades:
     def test_matches_sort_key_on_random_sets(self):
         rng = random.Random(6)
         for sig in (SIG, make_signature(3, 2, 1), *LARGE_SIGNATURES):
             for size in (0, 1, 5, 100, 1 << sig.n):
                 blades = rng.sample(range(1 << sig.n), min(size, 1 << sig.n))
-                s = Subspace(sig, frozenset(blades))
+                s = Subspace.from_blades(sig, blades)
                 assert list(s.sorted_blades()) == sorted(blades, key=blade_sort_key)
 
     def test_warm_sort_calls_no_sort_key(self, monkeypatch):
