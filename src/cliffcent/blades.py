@@ -14,7 +14,6 @@ import enum
 import functools
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 MAX_DIM = 16
@@ -216,7 +215,6 @@ class BladeTable(NamedTuple):
 
     order: Tuple[Blade, ...]
     rank: Tuple[int, ...]  # rank[b] is the position of blade b in order
-    starts: Tuple[int, ...]  # grade k is order[starts[k]:starts[k + 1]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,8 +243,7 @@ def blade_table(n: int) -> BladeTable:
     rank = [0] * len(order)
     for position, blade in enumerate(order):
         rank[blade] = position
-    return BladeTable(tuple(order), tuple(rank),
-                      tuple(accumulate(map(len, runs), initial=0)))
+    return BladeTable(tuple(order), tuple(rank))
 
 
 def all_blades(sig: Signature) -> Iterator[Blade]:

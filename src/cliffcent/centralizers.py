@@ -45,11 +45,10 @@ from .subspaces import (
     lambda_full,
     lambda_range,
     lambda_subspace,
-    nondeg_grade_subspace,
+    nondeg_times_lambda,
     parity_part,
     parity_subspace,
     parse_subspace_spec,
-    product_span,
     subspace_from_text,
 )
 
@@ -211,14 +210,6 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
     return Subspace(sig, acc)
 
 
-def _nondeg_times_lam_ge(sig: Signature, k: int, d: int) -> Subspace:
-    return product_span(nondeg_grade_subspace(sig, k), lambda_range(sig, d, sig.r))
-
-
-def _nondeg_times(sig: Signature, k: int, lam: Subspace) -> Subspace:
-    return product_span(nondeg_grade_subspace(sig, k), lam)
-
-
 def center_closed_form(sig: Signature) -> Subspace:
     """Center of the algebra: even degenerate exterior part, plus the
     pseudoscalar line when n is odd."""
@@ -228,8 +219,7 @@ def center_closed_form(sig: Signature) -> Subspace:
 
 
 def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
-    """Plain or grade-twisted centralizer of Cl^m, for 1 <= m <= n; right
-    for r = n too, where ``_grassmann_form`` is the faster route.
+    """Plain or grade-twisted centralizer of Cl^m, for 1 <= m <= n.
 
     T_f is the sum of Cl^k_{p,q,0} Lambda^{>= n-m+j}, j = (k + f) mod 2,
     over k in 0..m-1 with k + j <= m - 1, plus Cl^n when m + f is even.
@@ -239,7 +229,7 @@ def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
     n = sig.n
 
     def terms(f: int) -> List[Subspace]:
-        parts = [_nondeg_times_lam_ge(sig, k, n - m + (k + f) % 2)
+        parts = [nondeg_times_lambda(sig, k, n - m + (k + f) % 2, sig.r)
                  for k in range(m) if k + (k + f) % 2 <= m - 1]
         if (m + f) % 2 == 0:
             parts.append(grade_subspace(sig, n))
@@ -250,17 +240,6 @@ def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
         return whole
     return direct_sum([parity_part(whole, 0),
                        parity_part(_assemble(sig, terms(1)), 1)])
-
-
-def _grassmann_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
-    """Exterior-algebra case (every generator degenerate)."""
-    stable = direct_sum([
-        lambda_even(sig),
-        parity_part(lambda_range(sig, sig.n - m + 1, sig.r), 1),
-    ])
-    if m & 1:
-        return stable if kind is CentralizerKind.PLAIN else full_algebra(sig)
-    return full_algebra(sig) if kind is CentralizerKind.PLAIN else stable
 
 
 def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
@@ -280,8 +259,7 @@ def closed_form_grade(sig: Signature, m: int,
 
     Every 1 <= m <= n comes from one general formula, ``_general_form``:
     low exterior degrees plus products of non-degenerate grades with
-    exterior tails, split by parity.  Exterior algebras (r = n) take a
-    shortcut to the same blade sets.
+    exterior tails, split by parity.
     """
     kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
@@ -290,8 +268,6 @@ def closed_form_grade(sig: Signature, m: int,
         if kind is CentralizerKind.PLAIN:
             return full_algebra(sig)
         return parity_subspace(sig, 0)
-    if sig.r == sig.n:
-        return _grassmann_form(sig, m, kind)
     return _general_form(sig, m, kind)
 
 
@@ -316,20 +292,20 @@ def closed_form_small_grade(sig: Signature, m: int,
             if n_odd:
                 parts = [lambda_even(sig),
                          lambda_subspace(sig, n - 2),
-                         _nondeg_times(sig, 1, lambda_range(sig, n - 3, n - 2)),
-                         _nondeg_times(sig, 2, lambda_subspace(sig, n - 3)),
+                         nondeg_times_lambda(sig, 1, n - 3, n - 2),
+                         nondeg_times_lambda(sig, 2, n - 3, n - 3),
                          grade_subspace(sig, n)]
             else:
                 parts = [lambda_even(sig),
                          lambda_subspace(sig, n - 1),
-                         _nondeg_times_lam_ge(sig, 1, n - 2),
-                         _nondeg_times(sig, 2, lambda_subspace(sig, n - 2))]
+                         nondeg_times_lambda(sig, 1, n - 2, r),
+                         nondeg_times_lambda(sig, 2, n - 2, n - 2)]
             return _assemble(sig, parts)
         # m == 4
         if r != n:
             parts = [lambda_full(sig),
-                     _nondeg_times(sig, 1, lambda_range(sig, n - 3, n - 2)),
-                     _nondeg_times(sig, 2, lambda_range(sig, n - 4, n - 3)),
+                     nondeg_times_lambda(sig, 1, n - 3, n - 2),
+                     nondeg_times_lambda(sig, 2, n - 4, n - 3),
                      grade_subspace(sig, n)]
             return _assemble(sig, parts)
         return lambda_full(sig)
@@ -340,35 +316,35 @@ def closed_form_small_grade(sig: Signature, m: int,
         if n_odd:
             parts = [lambda_even(sig),
                      lambda_subspace(sig, n),
-                     _nondeg_times(sig, 1, lambda_subspace(sig, n - 1))]
+                     nondeg_times_lambda(sig, 1, n - 1, n - 1)]
         elif r != n:
             parts = [lambda_even(sig),
                      lambda_subspace(sig, n - 1),
-                     _nondeg_times(sig, 1, lambda_subspace(sig, n - 2)),
+                     nondeg_times_lambda(sig, 1, n - 2, n - 2),
                      grade_subspace(sig, n)]
         else:
             parts = [lambda_even(sig), lambda_subspace(sig, n - 1)]
         return _assemble(sig, parts)
     if m == 3:
         parts = [lambda_full(sig),
-                 _nondeg_times_lam_ge(sig, 1, n - 2),
-                 _nondeg_times_lam_ge(sig, 2, n - 3)]
+                 nondeg_times_lambda(sig, 1, n - 2, r),
+                 nondeg_times_lambda(sig, 2, n - 3, r)]
         return _assemble(sig, parts)
     # m == 4
     if n_odd:
         parts = [lambda_even(sig),
                  lambda_subspace(sig, n - 2),
                  lambda_subspace(sig, n),
-                 _nondeg_times_lam_ge(sig, 1, n - 3),
-                 _nondeg_times_lam_ge(sig, 2, n - 3),
-                 _nondeg_times(sig, 3, lambda_subspace(sig, n - 3))]
+                 nondeg_times_lambda(sig, 1, n - 3, r),
+                 nondeg_times_lambda(sig, 2, n - 3, r),
+                 nondeg_times_lambda(sig, 3, n - 3, n - 3)]
     elif r != n:
         parts = [lambda_even(sig),
                  lambda_subspace(sig, n - 3),
                  lambda_subspace(sig, n - 1),
-                 _nondeg_times(sig, 1, lambda_range(sig, n - 4, n - 2)),
-                 _nondeg_times(sig, 2, lambda_range(sig, n - 4, n - 3)),
-                 _nondeg_times(sig, 3, lambda_subspace(sig, n - 4)),
+                 nondeg_times_lambda(sig, 1, n - 4, n - 2),
+                 nondeg_times_lambda(sig, 2, n - 4, n - 3),
+                 nondeg_times_lambda(sig, 3, n - 4, n - 4),
                  grade_subspace(sig, n)]
     else:
         parts = [lambda_even(sig),
@@ -442,8 +418,8 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
                      grade_subspace(sig, n)]
         else:
             parts = [lambda_even(sig), lambda_subspace(sig, n - 1),
-                     _nondeg_times(sig, 1, lambda_subspace(sig, n - 1)),
-                     _nondeg_times(sig, 2, lambda_subspace(sig, n - 2))]
+                     nondeg_times_lambda(sig, 1, n - 1, n - 1),
+                     nondeg_times_lambda(sig, 2, n - 2, n - 2)]
         return _assemble(sig, parts)
     if kind is CentralizerKind.GRADE_TWISTED:
         if pair == (1, 3):
@@ -456,11 +432,11 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
         if pair == (2, 3):
             if n_odd:
                 parts = [lambda_even(sig), lambda_subspace(sig, n),
-                         _nondeg_times(sig, 1, lambda_subspace(sig, n - 1))]
+                         nondeg_times_lambda(sig, 1, n - 1, n - 1)]
             else:
                 parts = [lambda_even(sig), lambda_subspace(sig, n - 1),
-                         _nondeg_times_lam_ge(sig, 1, n - 2),
-                         _nondeg_times(sig, 2, lambda_subspace(sig, n - 2))]
+                         nondeg_times_lambda(sig, 1, n - 2, r),
+                         nondeg_times_lambda(sig, 2, n - 2, n - 2)]
             return _assemble(sig, parts)
         if pair == (0, 2):
             if not n_odd and r != n:
@@ -469,12 +445,12 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
         # (0, 3)
         if n_odd:
             parts = [lambda_even(sig),
-                     _nondeg_times(sig, 1, lambda_subspace(sig, n - 2)),
-                     _nondeg_times(sig, 2, lambda_subspace(sig, n - 3))]
+                     nondeg_times_lambda(sig, 1, n - 2, n - 2),
+                     nondeg_times_lambda(sig, 2, n - 3, n - 3)]
         else:
             parts = [lambda_even(sig),
-                     _nondeg_times(sig, 1, lambda_subspace(sig, n - 1)),
-                     _nondeg_times(sig, 2, lambda_subspace(sig, n - 2))]
+                     nondeg_times_lambda(sig, 1, n - 1, n - 1),
+                     nondeg_times_lambda(sig, 2, n - 2, n - 2)]
         return _assemble(sig, parts)
     # mix-twisted
     if pair == (0, 2):
@@ -484,15 +460,15 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
     if pair == (0, 3):
         if r != n:
             parts = [lambda_full(sig),
-                     _nondeg_times_lam_ge(sig, 1, n - 2),
-                     _nondeg_times_lam_ge(sig, 2, n - 3)]
+                     nondeg_times_lambda(sig, 1, n - 2, r),
+                     nondeg_times_lambda(sig, 2, n - 3, r)]
             return _assemble(sig, parts)
         return lambda_full(sig)
     # (2, 3)
     if r != n:
         parts = [lambda_full(sig),
-                 _nondeg_times(sig, 1, lambda_subspace(sig, n - 1)),
-                 _nondeg_times(sig, 2, lambda_subspace(sig, n - 2))]
+                 nondeg_times_lambda(sig, 1, n - 1, n - 1),
+                 nondeg_times_lambda(sig, 2, n - 2, n - 2)]
         return _assemble(sig, parts)
     return lambda_full(sig)
 

@@ -215,7 +215,7 @@ def _regular_columns(t: Multivector) -> List[Dict[int, Fraction]]:
     """Column j of U -> T*U in the global blade order: the coefficients of
     T * blade_j, keyed by row position."""
     sig = t.signature
-    order, position, _ = blade_table(sig.n)
+    order, position = blade_table(sig.n)
     return [{position[b]: v for b, v in
              (t * Multivector.basis_blade(sig, blade))._terms.items()}
             for blade in order]

@@ -4,9 +4,12 @@ Every subspace handled here is the span of a set of basis blades.  Blades
 are the elements of (Z/2)^n, so the data model is (signature, mask): one
 2^n-bit int whose bit b is set when blade b is in the span.  Unions,
 intersections, parity parts and comparisons are single int operations.
-Each graded constructor is a union of whole grades over a run of
-consecutive generators, read from one cached mask per run and grade set.
-The range conventions make the closed-form constructors total:
+Cl(p,q,r) is Cl(p,q,0) tensor Lambda(R^r), and the r degenerate
+generators are the top bits of a blade, so every graded piece is one
+split-grade mask: the blades whose grade over generators 1..split lies in
+one set and whose grade over the rest lies in another, cached per
+(n, split, grade sets).  The range conventions make the closed-form
+constructors total:
 
 * grades of the full algebra live in [0, n]; anything outside is empty;
 * grades of the degenerate exterior subalgebra live in [0, r];
@@ -88,6 +91,8 @@ class Subspace:
         return f"Subspace({self.signature}, {self.mask:#x})"
 
     def __post_init__(self):
+        if type(self.mask) is not int:
+            raise ValueError(f"mask {self.mask!r} is not an int")
         if self.mask < 0 or self.mask.bit_length() > 1 << self.signature.n:
             raise ValueError(f"mask {self.mask:#x} not valid for {self.signature}")
 
@@ -96,7 +101,7 @@ class Subspace:
         """The span of the given blades; each must be a blade of ``sig``."""
         blades = list(blades)
         for blade in blades:
-            if not isinstance(blade, int):
+            if type(blade) is not int:
                 raise ValueError(f"blade {blade!r} is not an int mask")
             check_blade(sig, blade)
         import numpy as np
@@ -144,22 +149,31 @@ class Subspace:
 
 
 @functools.lru_cache(maxsize=None)
-def _grade_mask(first: int, width: int, grades: Tuple[int, ...]) -> int:
-    """Mask of the blades over generators first+1..first+width whose grade
-    is one of ``grades``: blade x of the width-generator algebra, shifted
-    up by ``first`` bits."""
+def _grade_mask(n: int, split: int, low: Tuple[int, ...],
+                high: Tuple[int, ...]) -> int:
+    """Mask of the blades whose grade over generators 1..split is in ``low``
+    and whose grade over generators split+1..n is in ``high``.
+
+    Blade b is (b >> split) * 2^split + (b & (2^split - 1)), so the
+    indicator, read as a 2^(n-split) x 2^split matrix, is an outer product.
+    """
     import numpy as np
 
-    x = np.arange(1 << width)
-    indicator = np.zeros(1 << (first + width), dtype=bool)
-    indicator[x << first] = np.isin(np.bitwise_count(x), grades)
-    return _pack(indicator)
+    def graded(width, grades):
+        return np.isin(np.bitwise_count(np.arange(1 << width)), grades)
+
+    return _pack(np.outer(graded(n - split, high), graded(split, low)).ravel())
+
+
+def _grades(lo: int, hi: int, top: int) -> Tuple[int, ...]:
+    """The grades in [lo, hi], clamped to [0, top]."""
+    return tuple(range(max(lo, 0), min(hi, top) + 1))
 
 
 def _parity_mask(n: int, l: int) -> int:
     if l not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {l}")
-    return _grade_mask(0, n, tuple(range(l, n + 1, 2)))
+    return _grade_mask(n, 0, (0,), tuple(range(l, n + 1, 2)))
 
 
 def zero_subspace(sig: Signature) -> Subspace:
@@ -170,30 +184,30 @@ def full_algebra(sig: Signature) -> Subspace:
     return Subspace(sig, (1 << (1 << sig.n)) - 1)
 
 
-def _by_grade(sig: Signature, first: int, width: int,
-              lo: int, hi: int) -> Subspace:
-    """Blades over generators first+1..first+width with grade in [lo, hi],
-    the range clamped to [0, width]."""
-    grades = tuple(range(max(lo, 0), min(hi, width) + 1))
-    return Subspace(sig, _grade_mask(first, width, grades))
+def grade_range(sig: Signature, lo: int, hi: int) -> Subspace:
+    return Subspace(sig, _grade_mask(sig.n, 0, (0,), _grades(lo, hi, sig.n)))
 
 
 def grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k: all blades of grade k; empty outside [0, n]."""
-    return _by_grade(sig, 0, sig.n, k, k)
+    return grade_range(sig, k, k)
 
 
-def grade_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    return _by_grade(sig, 0, sig.n, lo, hi)
+def nondeg_times_lambda(sig: Signature, k: int, lo: int, hi: int) -> Subspace:
+    """Cl^k_{p,q,0} Lambda^{[lo, hi]}: grade k over the non-degenerate
+    generators times a grade in [lo, hi] over the degenerate ones."""
+    nondeg = sig.p + sig.q
+    return Subspace(sig, _grade_mask(sig.n, nondeg, _grades(k, k, nondeg),
+                                     _grades(lo, hi, sig.r)))
 
 
 def lambda_subspace(sig: Signature, l: int) -> Subspace:
     """Lambda^l: grade-l blades over the degenerate generators only."""
-    return _by_grade(sig, sig.p + sig.q, sig.r, l, l)
+    return nondeg_times_lambda(sig, 0, l, l)
 
 
 def lambda_range(sig: Signature, lo: int, hi: int) -> Subspace:
-    return _by_grade(sig, sig.p + sig.q, sig.r, lo, hi)
+    return nondeg_times_lambda(sig, 0, lo, hi)
 
 
 def lambda_full(sig: Signature) -> Subspace:
@@ -202,7 +216,7 @@ def lambda_full(sig: Signature) -> Subspace:
 
 def nondeg_grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k_{p,q,0}: grade-k blades over the non-degenerate generators."""
-    return _by_grade(sig, 0, sig.p + sig.q, k, k)
+    return nondeg_times_lambda(sig, k, 0, 0)
 
 
 def _support(s: Subspace) -> int:
@@ -250,7 +264,7 @@ def parity_part(s: Subspace, l: int) -> Subspace:
 
 def lambda_even(sig: Signature) -> Subspace:
     """Lambda^(0): the even part of the degenerate exterior subalgebra."""
-    return Subspace(sig, _grade_mask(sig.p + sig.q, sig.r,
+    return Subspace(sig, _grade_mask(sig.n, sig.p + sig.q, (0,),
                                      tuple(range(0, sig.r + 1, 2))))
 
 
@@ -271,7 +285,7 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
         first = (1 << k) - 1  # the first blade of grade k
         if hat_sign(first) == want_hat and tilde_sign(first) == want_tilde:
             grades.append(k)
-    return Subspace(sig, _grade_mask(0, sig.n, tuple(grades)))
+    return Subspace(sig, _grade_mask(sig.n, 0, (0,), tuple(grades)))
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Subspace:

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -91,14 +90,9 @@ class TestBladeBasics:
 class TestBladeTable:
     @pytest.mark.parametrize("n", range(13))
     def test_matches_its_definition(self, n):
-        order, rank, starts = blade_table(n)
+        order, rank = blade_table(n)
         assert list(order) == sorted(range(1 << n), key=blade_sort_key)
         assert [rank[b] for b in order] == list(range(1 << n))
-        assert len(starts) == n + 2 and starts[0] == 0
-        for k in range(n + 1):
-            run = order[starts[k]:starts[k + 1]]
-            assert len(run) == comb(n, k)
-            assert {blade_grade(b) for b in run} == {k}
 
     def test_index_lists_match_blade_indices(self):
         masks = range(1 << MAX_DIM)

@@ -22,8 +22,6 @@ from cliffcent.centralizers import (
     CentralizerKind,
     Table1Row,
     _assemble,
-    _general_form,
-    _grassmann_form,
     all_signatures,
     brute_force_centralizer,
     center_closed_form,
@@ -449,15 +447,6 @@ class TestClosedFormGrade:
                 for kind in CentralizerKind:
                     want = brute_force_centralizer(sig, target, kind)
                     assert closed_form_grade(sig, m, kind) == want, (sig, m, kind)
-
-    def test_exterior_shortcut_equals_the_general_formula(self):
-        for n in range(1, 13):
-            sig = make_signature(0, 0, n)
-            for m in range(1, n + 1):
-                # tilde on a single grade is plain or hat
-                for kind in (PLAIN, HAT):
-                    assert _grassmann_form(sig, m, kind) == \
-                        _general_form(sig, m, kind), (sig, m, kind)
 
 
 class TestSmallGradeTable:

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from cliffcent import subspaces
@@ -32,6 +33,7 @@ from cliffcent.subspaces import (
     lambda_range,
     lambda_subspace,
     nondeg_grade_subspace,
+    nondeg_times_lambda,
     parity_part,
     parity_subspace,
     parse_subspace_spec,
@@ -97,6 +99,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
             Subspace.from_blades(SIG, {0, blade, SIG.full_mask})
 
+    @pytest.mark.parametrize("value", [0.5, "3", None, True, np.int64(3)])
+    def test_rejects_non_int_masks_and_blades(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"mask {value!r} is not an int")):
+            Subspace(SIG, value)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"blade {value!r} is not an int mask")):
+            Subspace.from_blades(SIG, [value])
+
 
 class TestConstructorDefinitions:
     """Each graded constructor equals a filter over every blade mask, in
@@ -126,6 +136,20 @@ class TestConstructorDefinitions:
                     assert lambda_range(sig, lo, hi).blades == \
                         by_definition(sig, sig.degenerate_mask, lo, hi), \
                         (sig, lo, hi)
+
+    def test_nondeg_times_lambda(self):
+        for sig in SMALL_SIGNATURES + LARGE_SIGNATURES:
+            nondeg = sig.full_mask & ~sig.degenerate_mask
+            bounds = list(range(-1, sig.n + 2)) + [10**9]
+            if sig.n > 6:
+                bounds = [-1, 0, 1, sig.r - 1, sig.r, sig.n - 1, sig.n + 1, 10**9]
+            for k in range(-1, sig.p + sig.q + 2):
+                grade_k = by_definition(sig, nondeg, k, k)
+                for lo in bounds:
+                    for hi in bounds:
+                        lam = by_definition(sig, sig.degenerate_mask, lo, hi)
+                        assert nondeg_times_lambda(sig, k, lo, hi).blades == \
+                            {x | y for x in grade_k for y in lam}, (sig, k, lo, hi)
 
     def test_parity_subspace(self):
         for sig in SMALL_SIGNATURES + LARGE_SIGNATURES:
