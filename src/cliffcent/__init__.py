@@ -60,7 +60,6 @@ from .subspaces import (
     parity_part,
     parity_subspace,
     parse_subspace_spec,
-    product_span,
     quaternion_type_subspace,
     subspace_contains,
     subspace_equals,

@@ -7,14 +7,13 @@ Nothing here knows about blades; the callers translate to and from
 coefficient vectors.
 
 Inside the package only ``multivector.inverse_of`` and ``is_invertible``
-call this module, through ``solve``.  The nullspace oracle's system is
-diagonal for blade-spanned targets, so it reads its kernel off directly;
-``nullspace`` stays for general systems, such as the per-pair reference
-assembly the tests solve.
+call this module, through ``solve``, which reads its answer off
+``nullspace`` of the augmented system.  The nullspace oracle's system is
+diagonal for blade-spanned targets, so it reads its kernel off directly.
 
 The pivot set is kept fully inter-reduced (reduced row echelon form): no
 pivot row contains another pivot's column.  That keeps single-pass row
-reduction correct and makes back-substitution trivial.
+reduction correct and lets each kernel vector be read off the pivot rows.
 """
 
 from __future__ import annotations
@@ -90,7 +89,12 @@ def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
 
 
 def solve(columns: List[SparseRow], rhs: SparseRow) -> Optional[List[Fraction]]:
-    """One solution of A x = rhs with A given column-wise; None if inconsistent."""
+    """One solution of A x = rhs with A given column-wise; None if inconsistent.
+
+    The kernel of [A | -rhs] has a vector with a 1 in column ncols exactly
+    when the system is consistent; it is the last basis vector, and its
+    other entries are a solution with every free variable 0.
+    """
     ncols = len(columns)
     rows: Dict[int, SparseRow] = {}
     for j, col in enumerate(columns):
@@ -98,15 +102,9 @@ def solve(columns: List[SparseRow], rhs: SparseRow) -> Optional[List[Fraction]]:
             rows.setdefault(i, {})[j] = v
     for i, v in rhs.items():
         if v:
-            rows.setdefault(i, {})[ncols] = v
-    pivots = row_reduce(rows.values())
-    if ncols in pivots:
-        return None  # a row reduced to (0 ... 0 | nonzero)
-    x = [_ZERO] * ncols
-    for col, row in pivots.items():
-        s = row.get(ncols, _ZERO)
-        for c, v in row.items():
-            if c != col and c != ncols:
-                s -= v * x[c]
-        x[col] = s / row[col]
-    return x
+            rows.setdefault(i, {})[ncols] = -v
+    basis = nullspace(rows.values(), ncols + 1)
+    # a pivot ncols has the row (0 ... 0 | nonzero), so it enters no vector
+    if not basis or ncols not in basis[-1]:
+        return None
+    return [basis[-1].get(j, _ZERO) for j in range(ncols)]

@@ -226,6 +226,8 @@ def blade_table(n: int) -> BladeTable:
     Within a grade, the index lists that hold the new index 1 come first,
     and each of the two halves keeps the order built before.
     """
+    if n > MAX_DIM:
+        raise ValueError(f"blade tables limited to n <= {MAX_DIM}, got n = {n}")
     # Imported on first use, not at the top of this module: from there numpy
     # loads ahead of the package's other modules and, when those are compiled
     # from source, a benchmark process peaks about 1.2 MiB higher.

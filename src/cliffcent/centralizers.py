@@ -223,14 +223,19 @@ def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
 
     T_f is the sum of Cl^k_{p,q,0} Lambda^{>= n-m+j}, j = (k + f) mod 2,
     over k in 0..m-1 with k + j <= m - 1, plus Cl^n when m + f is even.
+    A term is non-zero only when k <= p + q and n - m + j <= r, that is
+    p + q + j <= m, so only those terms are built.
     Plain with m even and hat with m odd give Lambda^{<= n-m-1} + T_0;
     the other two keep its even part and take their odd part from T_1.
     """
-    n = sig.n
+    n, nondeg = sig.n, sig.p + sig.q
 
     def terms(f: int) -> List[Subspace]:
-        parts = [nondeg_times_lambda(sig, k, n - m + (k + f) % 2, sig.r)
-                 for k in range(m) if k + (k + f) % 2 <= m - 1]
+        parts = []
+        for k in range(min(m, nondeg + 1)):
+            j = (k + f) % 2
+            if k + j <= m - 1 and nondeg + j <= m:
+                parts.append(nondeg_times_lambda(sig, k, n - m + j, sig.r))
         if (m + f) % 2 == 0:
             parts.append(grade_subspace(sig, n))
         return parts
@@ -733,20 +738,13 @@ _TABLE1_LAYOUT: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
 )
 
 
-def _table1_subspace(sig: Signature, kind: CentralizerKind,
-                     first_target: str) -> Subspace:
-    atom = parse_subspace_spec(first_target).atoms[0]
-    if atom[0] == "qt":
-        return closed_form_qt(sig, atom[1], kind)
-    return closed_form_qt_pair(sig, (atom[1], atom[2]), kind)
-
-
 def table1_rows(sig: Signature) -> List[Table1Row]:
     """Instantiate the fourteen reductions and brute-check every equality."""
     rows = []
     for kind_name, label, targets, reduction in _TABLE1_LAYOUT:
         kind = CentralizerKind(kind_name)
-        reduced = _table1_subspace(sig, kind, targets[0])
+        reduced = _closed_forms_for_target(
+            sig, parse_subspace_spec(targets[0]), kind)["closed_form"]
         matches = tuple(
             brute_force_centralizer(
                 sig, subspace_from_text(sig, target), kind

@@ -3,8 +3,9 @@
 A multivector is a map from basis blades to nonzero exact rationals (int or
 Fraction), never float.  The public constructors store Fractions and
 refuse any other coefficient type; the nullspace oracle's private probe
-holds ints, which stay exact under products and sums.  Every verification in this package reduces to exact
-identities between such maps, so no floating point appears anywhere.
+holds ints, which stay exact under products and sums.  Every verification
+in this package reduces to exact identities between such maps, so no
+floating point appears anywhere.
 
 Inverses, and so the adjoint actions, are this package's one caller of
 ``_linalg``: they solve T X = 1 on the left-regular matrix by exact

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .blades import (
+    MAX_DIM,
     Blade,
     Signature,
     blade_table,
@@ -157,6 +158,8 @@ def _grade_mask(n: int, split: int, low: Tuple[int, ...],
     Blade b is (b >> split) * 2^split + (b & (2^split - 1)), so the
     indicator, read as a 2^(n-split) x 2^split matrix, is an outer product.
     """
+    if n > MAX_DIM:
+        raise ValueError(f"graded masks limited to n <= {MAX_DIM}, got n = {n}")
     import numpy as np
 
     def graded(width, grades):
@@ -181,7 +184,7 @@ def zero_subspace(sig: Signature) -> Subspace:
 
 
 def full_algebra(sig: Signature) -> Subspace:
-    return Subspace(sig, (1 << (1 << sig.n)) - 1)
+    return grade_range(sig, 0, sig.n)
 
 
 def grade_range(sig: Signature, lo: int, hi: int) -> Subspace:
@@ -217,40 +220,6 @@ def lambda_full(sig: Signature) -> Subspace:
 def nondeg_grade_subspace(sig: Signature, k: int) -> Subspace:
     """Cl^k_{p,q,0}: grade-k blades over the non-degenerate generators."""
     return nondeg_times_lambda(sig, k, 0, 0)
-
-
-def _support(s: Subspace) -> int:
-    """The generators any blade of S holds, as a mask.
-
-    Bit i is set when some blade >= 2^i remains once the bits above i have
-    been folded away; each fold ORs the upper half of the mask into its
-    lower half, dropping one generator from every blade.
-    """
-    mask, support = s.mask, 0
-    for i in reversed(range(s.signature.n)):
-        half = 1 << i
-        if mask >> half:
-            support |= half
-            mask = (mask | mask >> half) & ((1 << half) - 1)
-    return support
-
-
-def product_span(a: Subspace, b: Subspace) -> Subspace:
-    """{ab : a-blade, b-blade} for index-disjoint factors.
-
-    With disjoint supports the product of two blades never annihilates and
-    is again a single blade, x | y = x + y, so the span is the union of the
-    larger factor's mask shifted up by each blade x of the smaller one.
-    """
-    if a.signature != b.signature:
-        raise ValueError("signature mismatch in product_span")
-    if _support(a) & _support(b):
-        raise ValueError("product_span factors must have disjoint index support")
-    small, big = sorted((a, b), key=Subspace.dimension)
-    mask = 0
-    for x in _set_bits(small.mask):
-        mask |= big.mask << x
-    return Subspace(a.signature, mask)
 
 
 def parity_subspace(sig: Signature, l: int) -> Subspace:

@@ -15,6 +15,7 @@ from cliffcent.blades import (
     blade_from_indices,
     blade_grade,
     blade_product,
+    blade_table,
     make_signature,
 )
 from cliffcent.centralizers import (
@@ -46,6 +47,7 @@ from cliffcent.subspaces import (
     full_algebra,
     grade_subspace,
     intersect,
+    nondeg_times_lambda,
     parity_part,
     subspace_from_text,
 )
@@ -447,6 +449,34 @@ class TestClosedFormGrade:
                 for kind in CentralizerKind:
                     want = brute_force_centralizer(sig, target, kind)
                     assert closed_form_grade(sig, m, kind) == want, (sig, m, kind)
+
+    def test_builds_no_zero_product_term(self, monkeypatch):
+        requested = []
+
+        def recording(sig, k, lo, hi):
+            term = nondeg_times_lambda(sig, k, lo, hi)
+            requested.append((sig, k, lo, hi, term.dimension()))
+            return term
+
+        monkeypatch.setattr(centralizers, "nondeg_times_lambda", recording)
+        for sig in all_signatures(8):
+            for m in range(sig.n + 1):
+                for kind in CentralizerKind:
+                    closed_form_grade(sig, m, kind)
+        assert requested
+        assert [t for t in requested if t[-1] == 0] == []
+
+    def test_rejects_algebras_beyond_max_dim(self):
+        # built directly, so make_signature's own bound does not apply
+        sig = Signature(0, 0, MAX_DIM + 1)
+        message = f"n <= {MAX_DIM}, got n = {MAX_DIM + 1}"
+        for build in (lambda: closed_form_grade(sig, 2, PLAIN),
+                      lambda: closed_form_grade(sig, 0, HAT),
+                      lambda: grade_subspace(sig, 1),
+                      lambda: full_algebra(sig),
+                      lambda: blade_table(sig.n)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestSmallGradeTable:

@@ -22,3 +22,17 @@ class TestExactness:
         assert x == [Fraction(1, 6), Fraction(2, 3)]
         assert all_fractions(x)
 
+    def test_solve_underdetermined_sets_free_variables_to_zero(self):
+        # x0 + x1 = 2: x1 is free
+        x = solve([{0: 1}, {0: 1}], {0: 2})
+        assert x == [Fraction(2), Fraction(0)]
+        assert all_fractions(x)
+
+    def test_solve_inconsistent_gives_none(self):
+        # x0 = 1 and x0 = 2
+        assert solve([{0: 1, 1: 1}], {0: 1, 1: 2}) is None
+
+    def test_solve_zero_rhs(self):
+        x = solve([{0: 2}, {0: 1, 1: 3}], {})
+        assert x == [Fraction(0), Fraction(0)]
+        assert all_fractions(x)

@@ -37,7 +37,6 @@ from cliffcent.subspaces import (
     parity_part,
     parity_subspace,
     parse_subspace_spec,
-    product_span,
     quaternion_type_subspace,
     subspace_contains,
     subspace_equals,
@@ -175,21 +174,6 @@ class TestGradeRuns:
             assert lambda_even(sig) == parity_part(lambda_full(sig), 0), sig
 
 
-class TestProductSpan:
-    def test_spans_products(self):
-        s = product_span(nondeg_grade_subspace(SIG, 1), lambda_subspace(SIG, 1))
-        assert s.blades == {
-            blade_from_indices(ix) for ix in ((1, 3), (1, 4), (2, 3), (2, 4))}
-
-    def test_empty_factor_gives_zero(self):
-        s = product_span(nondeg_grade_subspace(SIG, 3), lambda_full(SIG))
-        assert s.dimension() == 0
-
-    def test_rejects_overlapping_supports(self):
-        with pytest.raises(ValueError):
-            product_span(grade_subspace(SIG, 1), grade_subspace(SIG, 1))
-
-
 class TestQuaternionTypes:
     def test_types_partition_by_grade_mod_4(self):
         # the defining sign conditions must carve out exactly grades = m mod 4
@@ -297,35 +281,6 @@ class TestBitmapAgainstFrozensets:
                 bad = format_blade(min(overlap))
                 with pytest.raises(ValueError, match=re.escape(f"overlap at {bad}")):
                     _assemble(sig, parts)
-
-    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
-    def test_product_span(self, sig):
-        rng = random.Random(300 + sig.n)
-        for _ in range(4):
-            left = rng.getrandbits(sig.n)  # the generators of the first factor
-            right = sig.full_mask & ~left
-
-            def factor(support):
-                pool = [x for x in range(1 << sig.n) if x & ~support == 0]
-                return frozenset(rng.sample(pool, rng.randint(0, min(len(pool), 300))))
-
-            a, b = factor(left), factor(right)
-            sa, sb = Subspace.from_blades(sig, a), Subspace.from_blades(sig, b)
-            want = {x | y for x in a for y in b}
-            assert product_span(sa, sb).blades == want
-            assert product_span(sb, sa).blades == want
-            # one generator in both supports
-            shared = 1 << rng.randrange(sig.n)
-            sa = Subspace.from_blades(sig, a | {shared})
-            sb = Subspace.from_blades(sig, b | {shared})
-            with pytest.raises(ValueError, match="disjoint index support"):
-                product_span(sa, sb)
-        if sig.n >= 3:
-            # e1 is shared, and each factor holds it only below a higher index
-            sa = Subspace.from_blades(sig, {1 | 1 << (sig.n - 1)})
-            sb = Subspace.from_blades(sig, {1 | 1 << (sig.n - 2)})
-            with pytest.raises(ValueError, match="disjoint index support"):
-                product_span(sa, sb)
 
     @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
     def test_mask_bounds(self, sig):
