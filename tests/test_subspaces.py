@@ -283,6 +283,28 @@ class TestBitmapAgainstFrozensets:
                     _assemble(sig, parts)
 
     @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
+    def test_nondeg_times_lambda(self, sig):
+        # blades over disjoint generators multiply to their union, x | y
+        nondeg = sig.full_mask & ~sig.degenerate_mask
+        by_grade = {}
+        for b in range(1 << sig.n):
+            if b & ~nondeg == 0:
+                by_grade.setdefault(("nondeg", blade_grade(b)), set()).add(b)
+            if b & ~sig.degenerate_mask == 0:
+                by_grade.setdefault(("lambda", blade_grade(b)), set()).add(b)
+        rng = random.Random(300 + sig.n)
+        triples = [(0, 0, sig.r), (sig.p + sig.q, 0, 0), (1, sig.r, 0)]
+        triples += [(rng.randint(-1, sig.p + sig.q + 1),
+                     rng.randint(-1, sig.r + 1), rng.randint(-1, sig.r + 1))
+                    for _ in range(5)]
+        for k, lo, hi in triples:
+            grade_k = by_grade.get(("nondeg", k), set())
+            lam = set().union(*(by_grade.get(("lambda", g), set())
+                                for g in range(lo, hi + 1)))
+            assert nondeg_times_lambda(sig, k, lo, hi).blades == \
+                {x | y for x in grade_k for y in lam}, (k, lo, hi)
+
+    @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
     def test_mask_bounds(self, sig):
         top = 1 << (1 << sig.n)
         assert Subspace(sig, top - 1) == full_algebra(sig)
