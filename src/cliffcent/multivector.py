@@ -81,7 +81,8 @@ class Multivector:
 
     @classmethod
     def basis_blade(cls, sig: Signature, blade: Blade) -> "Multivector":
-        return cls.from_terms(sig, [(blade, 1)])
+        check_blade(sig, blade)
+        return cls(sig, {blade: Fraction(1)})
 
     # -- inspection --------------------------------------------------------
 

@@ -156,10 +156,13 @@ def _grade_mask(n: int, split: int, low: Tuple[int, ...],
     and whose grade over generators split+1..n is in ``high``.
 
     Blade b is (b >> split) * 2^split + (b & (2^split - 1)), so the
-    indicator, read as a 2^(n-split) x 2^split matrix, is an outer product.
+    indicator, read as a 2^(n-split) x 2^split matrix, is an outer product;
+    an empty grade set on either side gives the zero mask without building it.
     """
     if n > MAX_DIM:
         raise ValueError(f"graded masks limited to n <= {MAX_DIM}, got n = {n}")
+    if not low or not high:
+        return 0
     import numpy as np
 
     def graded(width, grades):

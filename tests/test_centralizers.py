@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -399,6 +400,56 @@ class TestOracleAssembly:
             dim, _ = nullspace_centralizer_oracle(sig, s, kind)
             assert dim == len(brute_force_centralizer(sig, s, kind).blades)
             assert len(calls) <= 2 * len(s.blades) == 32, kind
+
+
+def count_products(monkeypatch):
+    """Patch ``Multivector.__mul__`` to count its calls into the returned list."""
+    calls = []
+    original = Multivector.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Multivector, "__mul__", counting)
+    return calls
+
+
+def clear_every_cache():
+    """Empty every functools cache bound in a cliffcent module, as the
+    benchmark does before each pass."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("cliffcent"):
+            continue
+        for value in vars(module).values():
+            clear = getattr(value, "cache_clear", None)
+            if callable(clear):
+                clear()
+
+
+class TestOracleRowCache:
+    """The oracle's rows are shared per (signature, blade, twist)."""
+
+    def test_a_signature_costs_at_most_four_products_per_blade(self, monkeypatch):
+        sig = make_signature(2, 1, 1)
+        centralizers._oracle_row.cache_clear()
+        calls = count_products(monkeypatch)
+        for target in sweep_targets(sig, centralizers.SWEEP_TARGET_FAMILIES):
+            s = subspace_from_text(sig, target)
+            for kind in CentralizerKind:
+                dim, _ = nullspace_centralizer_oracle(sig, s, kind)
+                assert dim == len(brute_force_centralizer(sig, s, kind).blades)
+        assert 0 < len(calls) <= 4 * 2 ** sig.n == 64
+
+    def test_no_cache_survives_the_benchmark_reset(self, monkeypatch):
+        sig = make_signature(1, 1, 1)
+        s = full_algebra(sig)
+        calls = count_products(monkeypatch)
+        first = nullspace_centralizer_oracle(sig, s, HAT)
+        clear_every_cache()
+        calls.clear()
+        assert nullspace_centralizer_oracle(sig, s, HAT) == first
+        assert len(calls) == 2 * len(s.blades)
 
 
 class TestClosedFormGrade:

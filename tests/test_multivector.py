@@ -80,6 +80,17 @@ class TestConstruction:
             assert not w.is_zero()
             assert all(type(c) is Fraction for c in w.terms().values()), w
 
+    def test_basis_blade_is_one_fraction_term(self):
+        for blade in all_blades(SIG):
+            u = Multivector.basis_blade(SIG, blade)
+            assert u.terms() == {blade: 1}
+            assert type(u.coeff(blade)) is Fraction
+
+    @pytest.mark.parametrize("blade", [1 << SIG.n, -1])
+    def test_basis_blade_rejects_out_of_range_blade(self, blade):
+        with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
+            Multivector.basis_blade(SIG, blade)
+
     @pytest.mark.parametrize("build", [
         lambda value: mv_from_terms(SIG, [(0, value)]),
         lambda value: Multivector.scalar(SIG, value),

@@ -107,6 +107,25 @@ class TestConstructors:
             Subspace.from_blades(SIG, [value])
 
 
+class TestEmptyGradeMasks:
+    """An empty grade set on either side of the split is the zero mask,
+    returned after the n <= 16 bound is checked."""
+
+    def test_empty_side_gives_zero(self):
+        for n in range(17):
+            for split in range(n + 1):
+                full_low = tuple(range(split + 1))
+                full_high = tuple(range(n - split + 1))
+                assert subspaces._grade_mask(n, split, (), full_high) == 0
+                assert subspaces._grade_mask(n, split, full_low, ()) == 0
+                assert subspaces._grade_mask(n, split, (), ()) == 0
+
+    @pytest.mark.parametrize("low, high", [((), (0,)), ((0,), ()), ((), ())])
+    def test_n_17_still_raises(self, low, high):
+        with pytest.raises(ValueError, match="limited to n <= 16, got n = 17"):
+            subspaces._grade_mask(17, 0, low, high)
+
+
 class TestConstructorDefinitions:
     """Each graded constructor equals a filter over every blade mask, in
     every signature with n <= 6."""
