@@ -122,6 +122,9 @@ def blade_from_indices(indices) -> Blade:
 
 
 def check_blade(sig: Signature, blade: Blade) -> None:
+    """Refuse anything but an int (not bool) mask of a blade of ``sig``."""
+    if type(blade) is not int:
+        raise ValueError(f"blade {blade!r} is not an int mask")
     if blade < 0 or blade > sig.full_mask:
         raise ValueError(f"blade {blade:#x} not valid for {sig}")
 

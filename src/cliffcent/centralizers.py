@@ -30,6 +30,7 @@ from .blades import (
     blade_grade,
     blade_table,
     format_blade,
+    hat_sign,
     index_lists,
 )
 from .multivector import Multivector
@@ -138,22 +139,20 @@ SWEEP_MAX_DIM = 10
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_probe(sig: Signature, twist: bool) -> Multivector:
-    """P, the sum of all 2^n basis blades with coefficient 1, or hat(P)."""
-    probe = Multivector(sig, dict.fromkeys(blade_table(sig.n).order, 1))
-    return probe.grade_involute() if twist else probe
-
-
-@functools.lru_cache(maxsize=None)
-def _oracle_row(sig: Signature, v: Blade, twist: bool) -> int:
-    """Mask of the columns x that blade v rules out: the support of
-    twist(P) v - v P, each residual blade r read as column r XOR v."""
+def _oracle_rows(sig: Signature, v: Blade) -> Tuple[int, int]:
+    """Masks (plain, twisted) of the columns x that blade v rules out: with
+    P the sum of all blades and s(a, b) the sign of blade a times blade b,
+    column x's one term in P v and in v P is s(x, v) and s(v, x) at blade
+    x XOR v, and x is ruled out where twist(x) s(x, v) != s(v, x)."""
+    probe = Multivector(sig, dict.fromkeys(range(1 << sig.n), 1))
     v_mv = Multivector(sig, {v: 1})
-    residual = _oracle_probe(sig, twist) * v_mv - v_mv * _oracle_probe(sig, False)
-    row = 0
-    for r in residual.blades():
-        row |= 1 << (r ^ v)
-    return row
+    left, right = (probe * v_mv).terms(), (v_mv * probe).terms()
+    plain = twisted = 0
+    for x in range(1 << sig.n):
+        xv, vx = left.get(x ^ v, 0), right.get(x ^ v, 0)
+        plain |= (xv != vx) << x
+        twisted |= (hat_sign(x) * xv != vx) << x
+    return plain, twisted
 
 
 def nullspace_centralizer_oracle(
@@ -166,16 +165,15 @@ def nullspace_centralizer_oracle(
     comes from ``blade_product`` inside ``Multivector.__mul__``.
 
     One probe P, the sum of all 2^n basis blades with coefficient 1, stands
-    for every column at once, so the row of blade v costs one product per
-    side: twist(P) v - v P.  Cl(p,q,r) is (Z/2)^n-graded, so the term of
-    column x lands on blade x XOR v and on no other: each term of the
-    residual at blade r is a one-entry row saying the coefficient of
-    r XOR v is zero.  That row depends only on (signature, v, whether the
-    kind twists v), so it is cached and shared by every target: a
-    signature costs at most 4 2^n products (2 twists, 2 sides, 2^n blades).
-    The system is diagonal, so it needs no elimination: the free columns
-    are the blades no row names, and the nullspace basis is their unit
-    vectors, in the global order.
+    for every column at once, so blade v costs one product per side, P v
+    and v P.  Cl(p,q,r) is (Z/2)^n-graded, so column x lands only on blade
+    x XOR v: its row has one entry, ruling x out unless twist(x) s(x, v) =
+    s(v, x).  The twist is one sign per column, hat(x), so both twists'
+    rows come from the same two products and depend only on (signature, v):
+    they are cached and shared by every target and kind, and a signature
+    costs at most 2 2^n products (2 sides, 2^n blades).  The system is
+    diagonal, so it needs no elimination: the basis is the unit vector of
+    every blade no row names, in the global order.
     """
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
@@ -186,7 +184,7 @@ def nullspace_centralizer_oracle(
     for v in s.blades:
         twist = (kind is CentralizerKind.GRADE_TWISTED
                  or (kind is CentralizerKind.MIX_TWISTED and blade_grade(v) & 1))
-        failing |= _oracle_row(sig, v, bool(twist))
+        failing |= _oracle_rows(sig, v)[twist]
     basis = [Multivector.basis_blade(sig, x)
              for x in blade_table(sig.n).order if not failing >> x & 1]
     return len(basis), basis

@@ -3,7 +3,7 @@
 A multivector is a map from basis blades to nonzero exact rationals (int or
 Fraction), never float.  The public constructors store Fractions and
 refuse any other coefficient type; the nullspace oracle's private probe
-holds ints, which stay exact under products and sums.  Every verification
+holds ints, which stay exact under products.  Every verification
 in this package reduces to exact identities between such maps, so no
 floating point appears anywhere.
 

@@ -102,8 +102,6 @@ class Subspace:
         """The span of the given blades; each must be a blade of ``sig``."""
         blades = list(blades)
         for blade in blades:
-            if type(blade) is not int:
-                raise ValueError(f"blade {blade!r} is not an int mask")
             check_blade(sig, blade)
         import numpy as np
 

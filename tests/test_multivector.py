@@ -1,8 +1,10 @@
 """Multivector arithmetic over exact rationals."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,17 @@ class TestConstruction:
     def test_basis_blade_rejects_out_of_range_blade(self, blade):
         with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
             Multivector.basis_blade(SIG, blade)
+
+    @pytest.mark.parametrize("build", [
+        lambda value: Multivector.basis_blade(SIG, value),
+        lambda value: mv_from_terms(SIG, [(value, 1)]),
+    ])
+    @pytest.mark.parametrize("value", [0.5, 1.0, "3", None, True, np.int64(3)])
+    def test_rejects_non_int_blades(self, build, value):
+        # a float or bool key would pass the range check and break str()
+        with pytest.raises(ValueError,
+                           match=re.escape(f"blade {value!r} is not an int mask")):
+            build(value)
 
     @pytest.mark.parametrize("build", [
         lambda value: mv_from_terms(SIG, [(0, value)]),
