@@ -648,10 +648,10 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
     )
 
 
-def all_signatures(max_n: int, min_n: int = 1) -> List[Signature]:
-    """All (p,q,r) with min_n <= p+q+r <= max_n, in deterministic order."""
+def all_signatures(max_n: int) -> List[Signature]:
+    """All (p,q,r) with 1 <= p+q+r <= max_n, in deterministic order."""
     out = []
-    for n in range(min_n, max_n + 1):
+    for n in range(1, max_n + 1):
         for p in range(n + 1):
             for q in range(n - p + 1):
                 out.append(Signature(p, q, n - p - q))

@@ -1,6 +1,7 @@
 """Command-line front end: centralizer queries, sweeps, and the reduction table.
 
-Exit codes: 0 success, 1 bad input, 2 a cross-check found a mismatch.
+Exit codes: 0 success, 1 bad input (or a stdout closed by its reader),
+2 a cross-check found a mismatch.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional, Sequence
 from .blades import Signature, format_blade, index_lists, make_signature, parse_int
 from .centralizers import (
     SWEEP_MAX_DIM,
+    SWEEP_TARGET_FAMILIES,
     CentralizerKind,
     VerifyReport,
     brute_force_centralizer,
@@ -57,12 +59,6 @@ def _max_dim(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an ASCII integer: {text!r}") from None
 
 
-def _blade_line(blades: Sequence[int]) -> str:
-    if not blades:
-        return "{0}"
-    return ", ".join(format_blade(b) for b in blades)
-
-
 def _print_diff(report: VerifyReport) -> None:
     """The blades on which the routes disagree, one indented line per list."""
     for name, extra in sorted(report.diff.items()):
@@ -76,57 +72,57 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of Clifford algebras Cl(p,q,r).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cent = sub.add_parser("centralizer",
-                          help="centralizer of one subspace in one algebra")
-    cent.add_argument("--signature", required=True, metavar="p,q,r")
+    def command(name, handler, help_text, signature=True):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
+        if signature:
+            cmd.add_argument("--signature", required=True, metavar="p,q,r")
+        return cmd
+
+    cent = command("centralizer", _cmd_centralizer,
+                   "centralizer of one subspace in one algebra")
     cent.add_argument("--subspace", required=True, metavar="SPEC",
                       help="e.g. grade:2, qt:13, even, grade:1+grade:3")
     cent.add_argument("--kind", required=True, choices=_KIND_NAMES)
-    cent.add_argument("--format", choices=("text", "json"), default="text")
 
-    center = sub.add_parser("center", help="center of one algebra")
-    center.add_argument("--signature", required=True, metavar="p,q,r")
-    center.add_argument("--format", choices=("text", "json"), default="text")
+    command("center", _cmd_center, "center of one algebra")
 
-    verify = sub.add_parser("verify",
-                            help="sweep all signatures and cross-check routes")
+    verify = command("verify", _cmd_verify,
+                     "sweep all signatures and cross-check routes",
+                     signature=False)
     # argparse runs a string default through ``type``, so a non-integer
     # environment value exits 1 like a bad --max-dim.
     verify.add_argument("--max-dim", type=_max_dim,
                         default=os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND),
                         metavar="N", help="largest generator count to sweep")
-    verify.add_argument("--targets", choices=("grades", "qtypes", "pairs", "all"),
+    verify.add_argument("--targets", choices=(*SWEEP_TARGET_FAMILIES, "all"),
                         default="all")
     verify.add_argument("--kinds", nargs="+", choices=_KIND_NAMES,
                         default=list(_KIND_NAMES))
-    verify.add_argument("--format", choices=("text", "json"), default="text")
 
-    table = sub.add_parser("table1",
-                           help="the fourteen centralizer reductions, "
-                                "instantiated and brute-checked")
-    table.add_argument("--signature", required=True, metavar="p,q,r")
-    table.add_argument("--format", choices=("text", "json"), default="text")
+    command("table1", _cmd_table1, "the fourteen centralizer reductions, "
+                                   "instantiated and brute-checked")
 
+    for cmd in sub.choices.values():
+        cmd.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-def _cmd_centralizer(args) -> int:
-    sig = _parse_signature(args.signature)
-    spec = parse_subspace_spec(args.subspace)
-    kind = CentralizerKind(args.kind)
-    report = verify_case(sig, spec, kind, with_nullspace=False)
-    if args.format == "json":
-        payload = {
+def _print_query(fmt: str, header: str, report: VerifyReport) -> int:
+    """One centralizer query: its brute-force blades and the closed form's
+    verdict.  ``center`` is the centralizer of the whole algebra."""
+    if fmt == "json":
+        sig = report.signature
+        print(json.dumps({
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
-            "kind": kind.value,
-            "subspace": str(spec),
+            "kind": report.kind.value,
+            "subspace": report.target,
             "blades": index_lists(report.brute_blades),
             "match": report.match,
-        }
-        print(json.dumps(payload))
+        }))
     else:
-        print(f"{sig} {kind.value} centralizer of {spec}")
-        print(_blade_line(report.brute_blades))
+        print(header)
+        print(", ".join(map(format_blade, report.brute_blades)) or "{0}")
         if not report.matches:
             print("closed form: not available for this target")
         elif report.match:
@@ -137,26 +133,24 @@ def _cmd_centralizer(args) -> int:
     return 0 if report.match else 2
 
 
+def _cmd_centralizer(args) -> int:
+    sig = _parse_signature(args.signature)
+    spec = parse_subspace_spec(args.subspace)
+    kind = CentralizerKind(args.kind)
+    report = verify_case(sig, spec, kind, with_nullspace=False)
+    return _print_query(args.format, f"{sig} {kind.value} centralizer of {spec}",
+                        report)
+
+
 def _cmd_center(args) -> int:
     sig = _parse_signature(args.signature)
-    brute = brute_force_centralizer(sig, full_algebra(sig),
-                                    CentralizerKind.PLAIN)
+    kind = CentralizerKind.PLAIN
+    brute = brute_force_centralizer(sig, full_algebra(sig), kind)
     closed = center_closed_form(sig)
-    agree = brute.mask == closed.mask
-    if args.format == "json":
-        payload = {
-            "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
-            "kind": "plain",
-            "subspace": "all",
-            "blades": index_lists(brute.sorted_blades()),
-            "match": agree,
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"center of {sig}")
-        print(brute)
-        print("closed form: agrees" if agree else "closed form: MISMATCH")
-    return 0 if agree else 2
+    report = VerifyReport(sig, "all", kind, brute.sorted_blades(),
+                          closed.sorted_blades(), nullspace_dim=None,
+                          matches={"closed_form": brute.mask == closed.mask})
+    return _print_query(args.format, f"center of {sig}", report)
 
 
 def _cmd_verify(args) -> int:
@@ -184,26 +178,17 @@ def _cmd_table1(args) -> int:
     rows = table1_rows(sig)
     all_match = all(row.match for row in rows)
     if args.format == "json":
-        payload = {
+        print(json.dumps({
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "rows": [row.to_json_dict() for row in rows],
             "match": all_match,
-        }
-        print(json.dumps(payload))
+        }))
     else:
         print(f"centralizer reductions in {sig}")
         for row in rows:
             flag = "MATCH" if row.match else "MISMATCH"
             print(f"{row.label} | {row.reduction} | {row.subspace} | {flag}")
     return 0 if all_match else 2
-
-
-_HANDLERS = {
-    "centralizer": _cmd_centralizer,
-    "center": _cmd_center,
-    "verify": _cmd_verify,
-    "table1": _cmd_table1,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -214,14 +199,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     # every handler reports bad input by raising ValueError before it prints
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"cliffcent: error: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``).  Point stdout at
+        # devnull so the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

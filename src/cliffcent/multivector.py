@@ -87,6 +87,7 @@ class Multivector:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, blade: Blade) -> Fraction:
+        check_blade(self.signature, blade)
         return self._terms.get(blade, Fraction(0))
 
     def blades(self) -> Tuple[Blade, ...]:

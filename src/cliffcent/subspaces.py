@@ -141,7 +141,7 @@ class Subspace:
         return self.mask.bit_count()
 
     def __contains__(self, blade: Blade) -> bool:
-        return isinstance(blade, int) and blade >= 0 and bool(self.mask >> blade & 1)
+        return type(blade) is int and blade >= 0 and bool(self.mask >> blade & 1)
 
     def __str__(self) -> str:
         return ", ".join(self.names()) or "{0}"

@@ -1,12 +1,13 @@
 """Command-line interface: output formats, exit codes, and env overrides."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from cliffcent import centralizers
+from cliffcent import centralizers, cli
 from cliffcent.blades import blade_from_indices, make_signature
 from cliffcent.centralizers import CentralizerKind, brute_force_centralizer
 from cliffcent.cli import (
@@ -143,6 +144,16 @@ class TestCenterCommand:
 
     def test_bad_signature_exits_1(self, capsys):
         assert_one_error_line(*run(capsys, "center", "--signature", "1,2"))
+
+    def test_mismatch_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "center_closed_form", full_algebra)
+        code, out, _ = run(capsys, "center", "--signature", "2,0,0")
+        assert code == 2
+        assert out.splitlines()[-1] == "closed form: MISMATCH"
+        code, out, _ = run(capsys, "center", "--signature", "2,0,0",
+                           "--format", "json")
+        assert code == 2
+        assert json.loads(out)["match"] is False
 
 
 class TestVerifyCommand:
@@ -326,3 +337,19 @@ class TestParserBehaviour:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "center of Cl(2,0,0)" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--signature", "2,0,1", "--format", "json"],
+        ["verify", "--max-dim", "3"],
+        ["center", "--signature", "3,0,1"],
+    ], ids=["table1-json", "verify-text", "center-text"])
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cliffcent", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -90,16 +90,20 @@ class TestConstruction:
 
     @pytest.mark.parametrize("blade", [1 << SIG.n, -1])
     def test_basis_blade_rejects_out_of_range_blade(self, blade):
-        with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
-            Multivector.basis_blade(SIG, blade)
+        for build in (lambda: Multivector.basis_blade(SIG, blade),
+                      lambda: Multivector.scalar(SIG, 1).coeff(blade)):
+            with pytest.raises(ValueError, match=f"blade {blade:#x} not valid"):
+                build()
 
     @pytest.mark.parametrize("build", [
         lambda value: Multivector.basis_blade(SIG, value),
         lambda value: mv_from_terms(SIG, [(value, 1)]),
+        lambda value: Multivector.scalar(SIG, 1).coeff(value),
     ])
     @pytest.mark.parametrize("value", [0.5, 1.0, "3", None, True, np.int64(3)])
     def test_rejects_non_int_blades(self, build, value):
-        # a float or bool key would pass the range check and break str()
+        # a float or bool key would pass the range check, break str() and
+        # read the coefficient of the int blade it equals
         with pytest.raises(ValueError,
                            match=re.escape(f"blade {value!r} is not an int mask")):
             build(value)

@@ -259,7 +259,7 @@ class TestBitmapAgainstFrozensets:
                       *rng.sample(range(1 << sig.n), min(64, 1 << sig.n))]
             for blade in probes:
                 assert (blade in s) == (blade in a), blade
-            for blade in (1.0, "1", None, (1,)):
+            for blade in (1.0, True, "1", None, (1,)):
                 assert blade not in s
 
     @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
