@@ -269,3 +269,21 @@ def index_lists(blades: Iterable[Blade]) -> List[List[int]]:
     """
     low, high = _byte_indices(0), _byte_indices(8)
     return [list(low[b & 255] + high[b >> 8]) for b in blades]
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_texts() -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
+    """JSON text of each byte's indices: ``"[" + low``, then ``high + "]"``
+    when the low byte is empty and ``", " + high + "]"`` when it is not."""
+    low, high = ([", ".join(map(str, ix)) for ix in _byte_indices(first)]
+                 for first in (0, 8))
+    return (tuple("[" + text for text in low),
+            tuple(text + "]" for text in high),
+            tuple(", " + text + "]" if text else "]" for text in high))
+
+
+def index_lists_json(blades: Iterable[Blade]) -> str:
+    """``json.dumps(index_lists(blades))``, joined from 256-entry text tables."""
+    low, alone, after = _byte_texts()
+    return "[" + ", ".join([low[b & 255] + (after if b & 255 else alone)[b >> 8]
+                            for b in blades]) + "]"

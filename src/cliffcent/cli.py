@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 1 bad input (or a stdout closed by its reader),
 2 a cross-check found a mismatch.
+
+One parser serves every ``main`` call in a process.  ``CLIFFCENT_MAX_DIM``
+is read each time a command line is parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from .blades import Signature, format_blade, index_lists, make_signature, parse_int
+from .blades import Signature, format_blade, index_lists_json, make_signature, parse_int
 from .centralizers import (
     SWEEP_MAX_DIM,
     SWEEP_TARGET_FAMILIES,
@@ -35,6 +39,14 @@ _KIND_NAMES = tuple(kind.value for kind in CentralizerKind)
 class _Parser(argparse.ArgumentParser):
     """argparse reserves exit code 2 for usage errors; here 2 means a
     mismatch, so usage problems exit 1 instead."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        for action in self._actions:
+            if action.dest == "max_dim":
+                # argparse runs a string default through ``type``, so a
+                # non-integer environment value exits 1 like a bad --max-dim.
+                action.default = os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -90,11 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = command("verify", _cmd_verify,
                      "sweep all signatures and cross-check routes",
                      signature=False)
-    # argparse runs a string default through ``type``, so a non-integer
-    # environment value exits 1 like a bad --max-dim.
-    verify.add_argument("--max-dim", type=_max_dim,
-                        default=os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND),
-                        metavar="N", help="largest generator count to sweep")
+    # the default is read from the environment when a command line is parsed
+    verify.add_argument("--max-dim", type=_max_dim, metavar="N",
+                        help="largest generator count to sweep")
     verify.add_argument("--targets", choices=(*SWEEP_TARGET_FAMILIES, "all"),
                         default="all")
     verify.add_argument("--kinds", nargs="+", choices=_KIND_NAMES,
@@ -108,18 +118,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_object(head: dict, key: str, text: str, match: bool) -> str:
+    """``json.dumps({**head, key: value, "match": match})``, where ``text``
+    is ``value`` already in JSON."""
+    return f'{json.dumps(head)[:-1]}, "{key}": {text}, "match": {json.dumps(match)}}}'
+
+
 def _print_query(fmt: str, header: str, report: VerifyReport) -> int:
     """One centralizer query: its brute-force blades and the closed form's
     verdict.  ``center`` is the centralizer of the whole algebra."""
     if fmt == "json":
         sig = report.signature
-        print(json.dumps({
+        print(_json_object({
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "kind": report.kind.value,
             "subspace": report.target,
-            "blades": index_lists(report.brute_blades),
-            "match": report.match,
-        }))
+        }, "blades", index_lists_json(report.brute_blades), report.match))
     else:
         print(header)
         print(", ".join(map(format_blade, report.brute_blades)) or "{0}")
@@ -178,11 +192,16 @@ def _cmd_table1(args) -> int:
     rows = table1_rows(sig)
     all_match = all(row.match for row in rows)
     if args.format == "json":
-        print(json.dumps({
-            "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
-            "rows": [row.to_json_dict() for row in rows],
-            "match": all_match,
-        }))
+        # the keys of Table1Row.to_json_dict, with its blades as JSON text
+        texts = [_json_object({
+            "target": row.label,
+            "kind": row.kind.value,
+            "target_specs": list(row.targets),
+            "reduction": row.reduction,
+        }, "blades", index_lists_json(row.subspace.sorted_blades()), row.match)
+            for row in rows]
+        print(_json_object({"signature": {"p": sig.p, "q": sig.q, "r": sig.r}},
+                           "rows", f"[{', '.join(texts)}]", all_match))
     else:
         print(f"centralizer reductions in {sig}")
         for row in rows:
@@ -191,10 +210,14 @@ def _cmd_table1(args) -> int:
     return 0 if all_match else 2
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # every handler reports bad input by raising ValueError before it prints

@@ -1,5 +1,6 @@
 """Blade-level arithmetic: products, signs, involutions, parsing."""
 
+import json
 import os
 import re
 import subprocess
@@ -23,6 +24,7 @@ from cliffcent.blades import (
     format_blade,
     hat_sign,
     index_lists,
+    index_lists_json,
     make_signature,
     parse_blade,
     parse_int,
@@ -97,6 +99,10 @@ class TestBladeTable:
     def test_index_lists_match_blade_indices(self):
         masks = range(1 << MAX_DIM)
         assert index_lists(masks) == [list(blade_indices(b)) for b in masks]
+
+    def test_index_lists_json_is_json_dumps(self):
+        for masks in ((), *(blade_table(n).order for n in (*range(11), MAX_DIM))):
+            assert index_lists_json(masks) == json.dumps(index_lists(masks))
 
     def test_import_builds_no_table(self):
         src = Path(cliffcent.__file__).resolve().parent.parent

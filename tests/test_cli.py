@@ -8,15 +8,20 @@ import sys
 import pytest
 
 from cliffcent import centralizers, cli
-from cliffcent.blades import blade_from_indices, make_signature
-from cliffcent.centralizers import CentralizerKind, brute_force_centralizer
+from cliffcent.blades import blade_from_indices, index_lists, make_signature
+from cliffcent.centralizers import (
+    CentralizerKind,
+    brute_force_centralizer,
+    table1_rows,
+    verify_case,
+)
 from cliffcent.cli import (
     DEFAULT_SWEEP_BOUND,
     SWEEP_BOUND_ENV,
     build_parser,
     main,
 )
-from cliffcent.subspaces import full_algebra, subspace_from_text
+from cliffcent.subspaces import full_algebra, parse_subspace_spec, subspace_from_text
 
 
 def run(capsys, *argv):
@@ -318,6 +323,59 @@ class TestTable1Command:
         assert_one_error_line(*run(capsys, "table1", "--signature", "9,9,9"))
 
 
+# Both bytes of the mask, an empty high byte, and the center [[]] of Cl(10,0,0).
+JSON_SIGNATURES = ["10,0,0", "0,0,1", "1,0,8", "3,2,6"]
+
+
+def signature_json(sig):
+    return {"p": sig.p, "q": sig.q, "r": sig.r}
+
+
+class TestJsonBytes:
+    """``--format json`` prints exactly ``json.dumps`` of the payload built
+    from ``index_lists`` and ``Table1Row.to_json_dict``."""
+
+    @pytest.mark.parametrize("text", [*JSON_SIGNATURES, "1,0,15"])
+    def test_center(self, capsys, text):
+        sig = make_signature(*map(int, text.split(",")))
+        center = brute_force_centralizer(sig, full_algebra(sig),
+                                         CentralizerKind.PLAIN)
+        want = {"signature": signature_json(sig), "kind": "plain",
+                "subspace": "all", "blades": index_lists(center.sorted_blades()),
+                "match": True}
+        code, out, _ = run(capsys, "center", "--signature", text,
+                           "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize("text", JSON_SIGNATURES)
+    @pytest.mark.parametrize("spec, kind", [("grade:1", "hat"), ("even", "plain"),
+                                            ("qt:2", "tilde")])
+    def test_centralizer(self, capsys, text, spec, kind):
+        sig = make_signature(*map(int, text.split(",")))
+        report = verify_case(sig, parse_subspace_spec(spec),
+                             CentralizerKind(kind), with_nullspace=False)
+        want = {"signature": signature_json(sig), "kind": kind,
+                "subspace": spec, "blades": index_lists(report.brute_blades),
+                "match": report.match}
+        code, out, _ = run(capsys, "centralizer", "--signature", text,
+                           "--subspace", spec, "--kind", kind, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize("text", JSON_SIGNATURES)
+    def test_table1(self, capsys, text):
+        sig = make_signature(*map(int, text.split(",")))
+        rows = table1_rows(sig)
+        want = {"signature": signature_json(sig),
+                "rows": [row.to_json_dict() for row in rows],
+                "match": all(row.match for row in rows)}
+        code, out, _ = run(capsys, "table1", "--signature", text,
+                           "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
+
+
 class TestParserBehaviour:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == 1
@@ -353,3 +411,56 @@ class TestParserBehaviour:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reads
+    CLIFFCENT_MAX_DIM each time it parses a command line."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run(capsys, "center", "--signature", "1,0,0")[0] == 0
+        assert run(capsys, "table1", "--signature", "1,0,0")[0] == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", [
+        [], ["centralizer"], ["center"], ["verify"], ["table1"]])
+    def test_help_is_the_same_on_every_call(self, capsys, command):
+        first = run(capsys, *command, "--help")
+        assert first[0] == 0
+        assert first[1].startswith("usage: cliffcent")
+        assert run(capsys, *command, "--help") == first
+
+    def test_env_bound_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("verify", "--targets", "grades", "--kinds", "plain")
+        monkeypatch.setenv(SWEEP_BOUND_ENV, "1")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[-1]) == (0, "PASS: 6 cases, 0 mismatches")
+        monkeypatch.setenv(SWEEP_BOUND_ENV, "2")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[-1]) == (0, "PASS: 24 cases, 0 mismatches")
+        monkeypatch.delenv(SWEEP_BOUND_ENV)
+        assert cli._parser().parse_args(["verify"]).max_dim == DEFAULT_SWEEP_BOUND
+
+    def test_bad_env_bound_after_a_good_one_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv(SWEEP_BOUND_ENV, "1")
+        assert run(capsys, "verify", "--targets", "grades")[0] == 0
+        monkeypatch.setenv(SWEEP_BOUND_ENV, "many")
+        code, out, err = run(capsys, "verify", "--targets", "grades")
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--max-dim" in errors[0]
