@@ -41,10 +41,11 @@ class _Parser(argparse.ArgumentParser):
     mismatch, so usage problems exit 1 instead."""
 
     def parse_known_args(self, args=None, namespace=None):
+        # main reuses one parser, so --max-dim's default is read here, per
+        # parse.  argparse runs a string default through ``type``, so a
+        # non-integer environment value exits 1 like a bad --max-dim.
         for action in self._actions:
             if action.dest == "max_dim":
-                # argparse runs a string default through ``type``, so a
-                # non-integer environment value exits 1 like a bad --max-dim.
                 action.default = os.environ.get(SWEEP_BOUND_ENV, DEFAULT_SWEEP_BOUND)
         return super().parse_known_args(args, namespace)
 
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = command("verify", _cmd_verify,
                      "sweep all signatures and cross-check routes",
                      signature=False)
-    # the default is read from the environment when a command line is parsed
+    # its default comes from the environment, per parse (_Parser)
     verify.add_argument("--max-dim", type=_max_dim, metavar="N",
                         help="largest generator count to sweep")
     verify.add_argument("--targets", choices=(*SWEEP_TARGET_FAMILIES, "all"),
