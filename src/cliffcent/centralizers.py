@@ -63,27 +63,72 @@ class CentralizerKind(enum.Enum):
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
-# The 2x2 kernels K[x_i, v_i] of one generator, nondegenerate then
-# degenerate, for the three rows that brute_force_centralizer transforms.
-_GENERATOR_KERNELS = (np.array([[[1, 1], [1, 1]], [[1, 1], [1, -1]], [[1, 1], [-1, 1]]]),
-                      np.array([[[1, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [-1, 0]]]))
+# The 2x2 kernel K[x_i, v_i] of one generator, nondegenerate then degenerate.
+_GENERATOR_KERNELS = (np.array([[1, 1], [1, -1]]), np.array([[1, 1], [1, 0]]))
 _CHUNK = 3  # generators transformed per matmul
 
 
-def _chunk_kernels(width: int, degenerate: int) -> np.ndarray:
-    """Per row, the transposed Kronecker product of the kernels of
-    ``width`` consecutive generators, the top ``degenerate`` degenerate."""
-    out = np.ones((3, 1, 1), dtype=np.int64)
+def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
+    """The transposed Kronecker product of the kernels of ``width``
+    consecutive generators, the top ``degenerate`` degenerate."""
+    out = np.ones((1, 1), dtype=np.int64)
     for i in range(width):
-        kernel = _GENERATOR_KERNELS[i < degenerate]
-        out = np.stack([np.kron(a, k) for a, k in zip(out, kernel)])
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+        out = np.kron(out, _GENERATOR_KERNELS[i < degenerate])
+    return np.ascontiguousarray(out.T)
 
 
-# The degenerate generators are the trailing ones, so the kernels of a run
-# of generators depend only on its width and how many of them are degenerate.
-_KERNELS = {(width, degenerate): _chunk_kernels(width, degenerate)
+# The degenerate generators are the trailing ones, so the kernel of a run
+# of generators depends only on its width and how many of them are degenerate.
+_KERNELS = {(width, degenerate): _chunk_kernel(width, degenerate)
             for width in range(1, _CHUNK + 1) for degenerate in range(width + 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _parities(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """For the blades b < 2^n: the 0/1 rows [|b| even, |b| odd], and
+    (-1)^|b|, both as int64."""
+    odd = (np.bitwise_count(np.arange(1 << n)) & 1).astype(np.int64)
+    return np.stack([1 - odd, odd]), 1 - 2 * odd
+
+
+def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
+    """Each row f of length 2^n mapped to x -> sum over v of f(v) times the
+    product over generators i of K[x_i, v_i] (Yates's algorithm)."""
+    # Each step transforms the width lowest bits of the index and rotates
+    # them to the top, so after all n bits every index is back in its place.
+    count, done = len(rows), 0
+    while done < sig.n:
+        width = min(_CHUNK, sig.n - done)
+        degenerate = min(width, max(0, done + width - sig.p - sig.q))
+        rows = np.matmul(rows.reshape(count, -1, 1 << width), _KERNELS[width, degenerate])
+        rows = rows.transpose(0, 2, 1)
+        done += width
+    return rows.reshape(count, -1)
+
+
+_SIDE_KINDS = (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED,
+               CentralizerKind.MIX_TWISTED)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_masks(sig: Signature, s: Subspace) -> Tuple[int, int, int]:
+    """The brute-force centralizer masks of S, in ``_SIDE_KINDS`` order,
+    from one transform of the even and the odd blades of S."""
+    parity_rows, signs = _parities(sig.n)
+    even, odd = _transform(sig, s.indicator() * parity_rows)
+    # the right-hand sides in _SIDE_KINDS order; hat's is (-1)^|x| plain's
+    sides = np.empty((3, 1 << sig.n), dtype=np.int64)
+    plain, hat, whole = sides
+    np.multiply(signs, odd, out=plain)
+    plain += even
+    np.multiply(signs, plain, out=hat)
+    np.add(even, odd, out=whole)
+    # The degenerate generators are the top bits, so in rows of 2^(p+q)
+    # entries, x & degenerate_mask is the first entry of x's row.
+    width = 1 << (sig.p + sig.q)
+    kept = np.equal(whole.reshape(-1, width)[:, :1], sides.reshape(3, -1, width))
+    packed = np.packbits(kept.reshape(3, -1), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row, "little") for row in packed)
 
 
 def brute_force_centralizer(sig: Signature, s: Subspace,
@@ -93,40 +138,32 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     For blades x and v the product xv vanishes exactly when x & v meets a
     degenerate generator; otherwise vx = (-1)^(|x||v| + |x & v|) xv, and
     hat(x) adds |x| to the exponent.  So the pair fails exactly when
-    x & v & degenerate_mask = 0 and |x & w_v| is odd, where w_v is
-    v XOR full_mask if the kind adds |x| (plain: odd v; hat: even v;
-    tilde: never) and v otherwise.  No metric sign is read.
+    x & v & degenerate_mask = 0 and |x & v| + c_v |x| is odd, where c_v is
+    |v| for plain, |v| + 1 for hat and 0 for tilde.  No metric sign is read.
 
-    Over v in S, twice the failures at x are A(x) - B(x) - B'(x): A counts
-    the v with x & v & degenerate_mask = 0, and B and B' sum
-    (-1)^|x & w_v| over those with w_v = v and w_v = v XOR full_mask.  Each
-    is one 2x2 integer kernel per generator applied to an indicator row of
-    length 2^n (Yates's algorithm; the Walsh-Hadamard and subset-sum
-    transforms), so the centralizer {x : A(x) = B(x) + B'(x)} costs
-    O(n 2^n) exact integer operations whatever |S| is.
+    One 2x2 integer kernel per generator, [[1, 1], [1, -1]] if it is
+    nondegenerate and [[1, 1], [1, 0]] if it is degenerate, maps a row f of
+    length 2^n to T f(x) = sum of f(v) (-1)^|x & v| over the v with
+    x & v & degenerate_mask = 0 (Yates's algorithm; the Walsh-Hadamard and
+    subset-sum transforms).  With E and O the transforms of the even and
+    the odd blades of S and W = E + O, A(x) = W(x & degenerate_mask) counts
+    the v in S with x & v & degenerate_mask = 0, since T is a plain sum
+    where x has no nondegenerate bit.  X = x passes every v exactly when
+    the sum of (-1)^(|x & v| + c_v |x|) over those v reaches A(x):
+
+    * tilde: A(x) = W(x);
+    * plain: A(x) = E(x) + (-1)^|x| O(x);
+    * hat:   A(x) = (-1)^|x| E(x) + O(x).
+
+    So one transform of two rows, O(n 2^n) exact integer operations
+    whatever |S| is, answers all three kinds; its masks are cached per
+    (signature, subspace), and the other two kinds read the cache.
     """
     if sig.n > MAX_DIM:
         raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    rows = np.zeros((3, 1 << sig.n), dtype=np.int64)
-    rows[0] = s.indicator()
-    # row 2: the blades v of S whose factor multiplying |x| in the exponent
-    # is odd, which are the odd v for plain and the even v for hat
-    if kind is not CentralizerKind.MIX_TWISTED:
-        rows[2] = parity_part(s, int(kind is CentralizerKind.PLAIN)).indicator()
-    rows[1] = rows[0] - rows[2]
-    # Each step transforms the width lowest bits of the index and rotates
-    # them to the top, so after all n bits every index is back in its place.
-    done = 0
-    while done < sig.n:
-        width = min(_CHUNK, sig.n - done)
-        degenerate = min(width, max(0, done + width - sig.p - sig.q))
-        rows = np.matmul(rows.reshape(3, -1, 1 << width), _KERNELS[width, degenerate])
-        rows = rows.transpose(0, 2, 1)
-        done += width
-    a, b, b_complement = rows.reshape(3, -1)
-    return Subspace.from_indicator(sig, a == b + b_complement)
+    return Subspace(sig, _brute_masks(sig, s)[_SIDE_KINDS.index(kind)])
 
 
 # -- route two: exact nullspace of the defining linear system -------------------

@@ -36,9 +36,10 @@ Rational = Union[int, Fraction]
 
 
 def _exact(value: Rational) -> Fraction:
-    """``value`` as a Fraction; a float (or anything but int and Fraction)
-    is refused, since ``Fraction(0.1)`` is the binary float's value, not 1/10."""
-    if not isinstance(value, (int, Fraction)):
+    """``value`` as a Fraction; a float, a bool (or anything but int and
+    Fraction) is refused, since ``Fraction(0.1)`` is the binary float's
+    value, not 1/10, and ``Fraction(True)`` is 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"coefficient {value!r} is not an int or Fraction")
     return Fraction(value)
 

@@ -56,16 +56,11 @@ HAT = CentralizerKind.GRADE_TWISTED
 TILDE = CentralizerKind.MIX_TWISTED
 QT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-_BRUTE_CACHE = {}
-
 
 def grade_centralizer(sig, m, kind):
-    """Brute-force centralizer of Cl^m, cached; full algebra outside [0,n]."""
-    key = (sig, m, kind)
-    if key not in _BRUTE_CACHE:
-        _BRUTE_CACHE[key] = brute_force_centralizer(
-            sig, grade_subspace(sig, m), kind)
-    return _BRUTE_CACHE[key]
+    """Brute-force centralizer of Cl^m, cached by brute force itself per
+    (signature, subspace); full algebra outside [0,n]."""
+    return brute_force_centralizer(sig, grade_subspace(sig, m), kind)
 
 
 # -- criterion 1: closed-form grade centralizers vs brute force -----------------

@@ -1,5 +1,6 @@
 """Centralizer routes: brute force, nullspace oracle, and closed forms."""
 
+import itertools
 import json
 import random
 import sys
@@ -435,6 +436,66 @@ class TestOracleRowCache:
         calls.clear()
         assert nullspace_centralizer_oracle(sig, s, HAT) == first
         assert len(calls) == 2 * len(s.blades)
+
+
+def count_transforms(monkeypatch):
+    """Patch the brute-force transform to count its calls into the
+    returned list."""
+    calls = []
+    original = centralizers._transform
+
+    def counting(sig, rows):
+        calls.append(sig)
+        return original(sig, rows)
+
+    monkeypatch.setattr(centralizers, "_transform", counting)
+    return calls
+
+
+class TestBruteForceTransformCache:
+    """One transform of a target's even and odd blades answers all three
+    kinds, and the masks are cached per (signature, subspace)."""
+
+    def test_one_transform_per_distinct_target(self, monkeypatch):
+        sig = make_signature(2, 1, 1)
+        clear_every_cache()
+        calls = count_transforms(monkeypatch)
+        names = sweep_targets(sig, centralizers.SWEEP_TARGET_FAMILIES)
+        targets = set()
+        for target in names:
+            s = subspace_from_text(sig, target)
+            targets.add(s)
+            for kind in CentralizerKind:
+                got = brute_force_centralizer(sig, s, kind)
+                assert got.blades == pair_kernel_centralizer(sig, s, kind), \
+                    (target, kind)
+            assert len(calls) == len(targets), target
+        # at n = 4, qt:1, qt:2 and qt:3 span grades 1, 2 and 3
+        assert (len(names), len(targets)) == (15, 12)
+
+    def test_one_transform_again_after_the_benchmark_reset(self, monkeypatch):
+        sig = make_signature(1, 1, 2)
+        s = subspace_from_text(sig, "qt:12")
+        first = [brute_force_centralizer(sig, s, kind) for kind in CentralizerKind]
+        clear_every_cache()
+        calls = count_transforms(monkeypatch)
+        again = [brute_force_centralizer(sig, s, kind) for kind in CentralizerKind]
+        assert again == first
+        assert calls == [sig]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(CentralizerKind)))
+    def test_every_order_of_kinds_gives_the_masks_of_fresh_calls(self, order):
+        for sig in all_signatures(3) + [make_signature(2, 1, 2)]:
+            for target in ("grade:1", "grade:2", "odd", "qt:0", "qt:13", "all"):
+                s = subspace_from_text(sig, target)
+                fresh = {}
+                for kind in CentralizerKind:
+                    clear_every_cache()
+                    fresh[kind] = brute_force_centralizer(sig, s, kind).mask
+                clear_every_cache()
+                for kind in order:
+                    got = brute_force_centralizer(sig, s, kind).mask
+                    assert got == fresh[kind], (sig, target, order, kind)
 
 
 class TestClosedFormGrade:

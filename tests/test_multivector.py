@@ -120,6 +120,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"coefficient {value!r} is not"):
             build(value)
 
+    @pytest.mark.parametrize("build", [
+        lambda value: mv_from_terms(SIG, [(0, value)]),
+        lambda value: Multivector.scalar(SIG, value),
+        lambda value: Multivector.basis_blade(SIG, 1).scale(value),
+        lambda value: mv_scale(value, Multivector.basis_blade(SIG, 1)),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_coefficients(self, build, value):
+        # as blades and masks are: True would be the coefficient 1, False 0
+        with pytest.raises(ValueError,
+                           match=f"coefficient {value!r} is not an int or Fraction"):
+            build(value)
+
 
 class TestArithmetic:
     def test_product_hand_checked(self):
