@@ -51,7 +51,6 @@ from .subspaces import (
     parity_part,
     parity_subspace,
     parse_subspace_spec,
-    subspace_from_text,
 )
 
 
@@ -318,11 +317,18 @@ def closed_form_grade(sig: Signature, m: int,
 
     Every 1 <= m <= n comes from one general formula, ``_general_form``:
     low exterior degrees plus products of non-degenerate grades with
-    exterior tails, split by parity.
+    exterior tails, split by parity.  Each (signature, m, untwisted kind)
+    is built once per process.
     """
-    kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
         return full_algebra(sig)
+    return _closed_form_grade(sig, m, _untwisted(kind, m))
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_grade(sig: Signature, m: int,
+                       kind: CentralizerKind) -> Subspace:
+    """``closed_form_grade`` for 0 <= m <= n and a plain or hat kind."""
     if m == 0:
         if kind is CentralizerKind.PLAIN:
             return full_algebra(sig)
@@ -583,13 +589,17 @@ class VerifyReport:
 
     def to_json_dict(self) -> dict:
         sig = self.signature
+        # agreeing routes share one tuple, and so one list
+        brute = closed = index_lists(self.brute_blades)
+        if self.closed_blades is not self.brute_blades:
+            closed = (None if self.closed_blades is None
+                      else index_lists(self.closed_blades))
         return {
             "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
             "target": self.target,
             "kind": self.kind.value,
-            "brute_blades": index_lists(self.brute_blades),
-            "closed_blades": (None if self.closed_blades is None else
-                              index_lists(self.closed_blades)),
+            "brute_blades": brute,
+            "closed_blades": closed,
             "nullspace_dim": self.nullspace_dim,
             "matches": dict(self.matches),
             "match": self.match,
@@ -642,12 +652,24 @@ def _intersect_all(parts: List[Subspace], sig: Signature) -> Subspace:
     return acc
 
 
+# Targets are cached on private names, below every public entry point, so
+# a wrapper or patch on a public name still sees every call.
+@functools.lru_cache(maxsize=None)
+def _parsed(text: str) -> SubspaceSpec:
+    return parse_subspace_spec(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _target(sig: Signature, spec: SubspaceSpec) -> Subspace:
+    return evaluate_spec(sig, spec)
+
+
 def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
                 with_nullspace: Optional[bool] = None) -> VerifyReport:
     """Run every available route for one case and report all comparisons."""
-    spec = parse_subspace_spec(target) if isinstance(target, str) else target
+    spec = _parsed(target) if isinstance(target, str) else target
     started = time.perf_counter()
-    s = evaluate_spec(sig, spec)
+    s = _target(sig, spec)
     brute = brute_force_centralizer(sig, s, kind)
     matches: Dict[str, bool] = {}
     diff: Dict[str, List[str]] = {}
@@ -671,13 +693,19 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
             diff["nullspace_only_brute"] = difference(brute, support).names()
             diff["nullspace_only_oracle"] = difference(support, brute).names()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    brute_blades = brute.sorted_blades()
     main = closed_forms.get("closed_form")
+    closed_blades = brute_blades  # one tuple when the routes agree
+    if main is None:
+        closed_blades = None
+    elif main.mask != brute.mask:
+        closed_blades = main.sorted_blades()
     return VerifyReport(
         signature=sig,
         target=str(spec),
         kind=kind,
-        brute_blades=brute.sorted_blades(),
-        closed_blades=None if main is None else main.sorted_blades(),
+        brute_blades=brute_blades,
+        closed_blades=closed_blades,
         nullspace_dim=nullspace_dim,
         matches=matches,
         diff=diff,
@@ -798,10 +826,10 @@ def table1_rows(sig: Signature) -> List[Table1Row]:
     for kind_name, label, targets, reduction in _TABLE1_LAYOUT:
         kind = CentralizerKind(kind_name)
         reduced = _closed_forms_for_target(
-            sig, parse_subspace_spec(targets[0]), kind)["closed_form"]
+            sig, _parsed(targets[0]), kind)["closed_form"]
         matches = tuple(
             brute_force_centralizer(
-                sig, subspace_from_text(sig, target), kind
+                sig, _target(sig, _parsed(target)), kind
             ).mask == reduced.mask
             for target in targets)
         rows.append(Table1Row(label, kind, targets, reduction,

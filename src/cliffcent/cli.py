@@ -162,9 +162,11 @@ def _cmd_center(args) -> int:
     kind = CentralizerKind.PLAIN
     brute = brute_force_centralizer(sig, full_algebra(sig), kind)
     closed = center_closed_form(sig)
-    report = VerifyReport(sig, "all", kind, brute.sorted_blades(),
-                          closed.sorted_blades(), nullspace_dim=None,
-                          matches={"closed_form": brute.mask == closed.mask})
+    match = brute.mask == closed.mask
+    brute_blades = brute.sorted_blades()
+    report = VerifyReport(sig, "all", kind, brute_blades,
+                          brute_blades if match else closed.sorted_blades(),
+                          nullspace_dim=None, matches={"closed_form": match})
     return _print_query(args.format, f"center of {sig}", report)
 
 
@@ -176,7 +178,14 @@ def _cmd_verify(args) -> int:
     reports = sweep_verify(args.max_dim, targets=args.targets, kinds=kinds)
     total, mismatches = summarize(reports)
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports]))
+        # record by record, byte-identical to json.dumps of the whole list
+        write = sys.stdout.write
+        write("[")
+        for i, r in enumerate(reports):
+            if i:
+                write(", ")
+            write(json.dumps(r.to_json_dict()))
+        write("]\n")
     else:
         for r in reports:
             status = "ok" if r.match else "MISMATCH"

@@ -248,14 +248,20 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
     """
     if m not in (0, 1, 2, 3):
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
+    return Subspace(sig, _grade_mask(sig.n, 0, (0,), _qt_grades(sig.n, m)))
+
+
+@functools.lru_cache(maxsize=None)
+def _qt_grades(n: int, m: int) -> Tuple[int, ...]:
+    """The grades k in [0, n] whose hat and tilde signs match type m."""
     want_hat = -1 if m & 1 else 1
     want_tilde = -1 if (m * (m - 1) // 2) & 1 else 1
     grades = []
-    for k in range(sig.n + 1):
+    for k in range(n + 1):
         first = (1 << k) - 1  # the first blade of grade k
         if hat_sign(first) == want_hat and tilde_sign(first) == want_tilde:
             grades.append(k)
-    return Subspace(sig, _grade_mask(sig.n, 0, (0,), tuple(grades)))
+    return tuple(grades)
 
 
 def direct_sum(parts: Sequence[Subspace]) -> Subspace:

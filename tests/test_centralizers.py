@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cliffcent import _linalg, centralizers
+from cliffcent import _linalg, centralizers, cli, subspaces
 from cliffcent.blades import (
     MAX_DIM,
     Signature,
@@ -498,6 +498,88 @@ class TestBruteForceTransformCache:
                     assert got == fresh[kind], (sig, target, order, kind)
 
 
+def cliffcent_caches():
+    """Every functools cache bound in a cliffcent module, by qualified name."""
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("cliffcent"):
+            continue
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[f"{name}.{attr}"] = value
+    return caches
+
+
+def case_records(cases):
+    """``to_json_dict`` of each report, without its timing."""
+    out = []
+    for report in cases:
+        record = report.to_json_dict()
+        del record["elapsed_ms"]
+        out.append(record)
+    return out
+
+
+class TestPerProcessCaches:
+    """Targets, graded closed forms and the other per-signature pieces are
+    built once per process, behind private names; the benchmark's reset
+    empties them all, and no order of cases changes a report."""
+
+    def test_the_benchmark_reset_empties_every_cache(self, capsys):
+        main(["verify", "--max-dim", "2"])
+        main(["table1", "--signature", "1,1,1"])
+        capsys.readouterr()
+        caches = cliffcent_caches()
+        for name in ("_parsed", "_target", "_closed_form_grade"):
+            assert caches[f"cliffcent.centralizers.{name}"].cache_info().currsize
+        assert caches["cliffcent.subspaces._qt_grades"].cache_info().currsize
+        clear_every_cache()
+        assert {name: cache.cache_info().currsize
+                for name, cache in caches.items()} == dict.fromkeys(caches, 0)
+
+    def test_no_name_the_tracer_wraps_is_a_cache(self):
+        # the entry points perfbench/tracer.py replaces with span wrappers,
+        # which carry no cache_clear for the reset to find
+        wrapped = [getattr(centralizers, name) for name in (
+            "closed_form_grade", "closed_form_small_grade",
+            "closed_form_nondegenerate", "closed_form_qt",
+            "closed_form_qt_pair", "center_closed_form",
+            "verify_case", "brute_force_centralizer",
+            "nullspace_centralizer_oracle")]
+        wrapped += [subspaces.evaluate_spec, blade_product, _linalg.nullspace,
+                    cli.main]
+        assert [fn.__name__ for fn in wrapped
+                if hasattr(fn, "cache_clear")] == []
+
+    def test_cold_forward_and_reversed_sweeps_agree(self):
+        families = centralizers.SWEEP_TARGET_FAMILIES
+        cases = [(sig, target, kind) for sig in all_signatures(5)
+                 for target in sweep_targets(sig, families)
+                 for kind in CentralizerKind]
+        cold = []
+        for case in cases:
+            clear_every_cache()
+            cold.append(verify_case(*case))
+        clear_every_cache()
+        forward = sweep_verify(5)
+        clear_every_cache()
+        backward = [verify_case(sig, target, kind)
+                    for sig in all_signatures(5)
+                    for target in reversed(sweep_targets(sig, families))
+                    for kind in reversed(CentralizerKind)]
+        # back in forward order: per signature, targets then kinds
+        kinds = len(CentralizerKind)
+        reordered, at = [], 0
+        for sig in all_signatures(5):
+            block = backward[at:at + kinds * len(sweep_targets(sig, families))]
+            at += len(block)
+            reordered += block[::-1]
+        want = case_records(cold)
+        assert len(want) == 2445
+        assert case_records(forward) == want
+        assert case_records(reordered) == want
+
+
 class TestClosedFormGrade:
     def test_known_values(self):
         sig = make_signature(3, 0, 1)
@@ -556,6 +638,7 @@ class TestClosedFormGrade:
             return term
 
         monkeypatch.setattr(centralizers, "nondeg_times_lambda", recording)
+        clear_every_cache()  # grade forms are cached per process
         for sig in all_signatures(8):
             for m in range(sig.n + 1):
                 for kind in CentralizerKind:

@@ -12,6 +12,7 @@ from cliffcent.blades import blade_from_indices, index_lists, make_signature
 from cliffcent.centralizers import (
     CentralizerKind,
     brute_force_centralizer,
+    sweep_verify,
     table1_rows,
     verify_case,
 )
@@ -287,6 +288,61 @@ class TestVerifyCommand:
         assert args.max_dim == DEFAULT_SWEEP_BOUND
 
 
+def wrong_grade_1_in_cl200(monkeypatch):
+    """Patch ``closed_form_grade`` to answer the whole algebra for grade 1 of
+    Cl(2,0,0), as ``test_mismatch_text_names_the_blades`` does."""
+    original = centralizers.closed_form_grade
+
+    def wrong_in_cl200(sig, m, kind):
+        if (sig.p, sig.q, sig.r, m) == (2, 0, 0, 1):
+            return full_algebra(sig)
+        return original(sig, m, kind)
+
+    monkeypatch.setattr(centralizers, "closed_form_grade", wrong_in_cl200)
+
+
+class TestPatchingAgainstWarmCaches:
+    """The per-process caches sit below every function the tests patch, so
+    a patch made after a sweep has filled them still takes effect."""
+
+    def test_internal_disagreement_after_a_sweep(self, capsys, monkeypatch):
+        assert run(capsys, "verify", "--max-dim", "2")[0] == 0
+        monkeypatch.setattr(centralizers, "_explicit_qt_pair",
+                            lambda sig, pair, kind: full_algebra(sig))
+        with pytest.raises(RuntimeError, match="disagree"):
+            main(["centralizer", "--signature", "2,0,0",
+                  "--subspace", "qt:13", "--kind", "plain"])
+
+    def test_mismatch_after_a_sweep(self, capsys, monkeypatch):
+        assert run(capsys, "verify", "--max-dim", "2")[0] == 0
+        wrong_grade_1_in_cl200(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--max-dim", "2",
+                           "--targets", "grades", "--kinds", "plain")
+        assert code == 2
+        lines = out.splitlines()
+        at = lines.index("MISMATCH Cl(2,0,0) plain grade:1 (1 blades)")
+        assert lines[at + 1] == "  closed_form_only_closed: e[1], e[2], e[1,2]"
+        assert lines[at + 2].startswith("ok ")
+        assert lines[-1] == "FAIL: 24 cases, 1 mismatches"
+        assert len(lines) == 26
+
+    def test_mismatch_keeps_the_closed_blades_in_json(self, capsys, monkeypatch):
+        assert run(capsys, "verify", "--max-dim", "2")[0] == 0
+        wrong_grade_1_in_cl200(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--max-dim", "2",
+                           "--targets", "grades", "--kinds", "plain",
+                           "--format", "json")
+        assert code == 2
+        records = json.loads(out)
+        wrong = [r for r in records if not r["match"]]
+        assert [(r["signature"], r["target"]) for r in wrong] == [
+            ({"p": 2, "q": 0, "r": 0}, "grade:1")]
+        assert wrong[0]["brute_blades"] == [[]]
+        assert wrong[0]["closed_blades"] == [[], [1], [2], [1, 2]]
+        assert all(r["closed_blades"] == r["brute_blades"]
+                   for r in records if r["match"])
+
+
 class TestSignatureArgument:
     # a digit separator, a full-width digit, a sign, a space
     @pytest.mark.parametrize("bad", ["1_0,0,0", "\uff11,0,0", "+1,0,0", "1, 0,0"])
@@ -376,6 +432,22 @@ class TestJsonBytes:
         assert out == json.dumps(want) + "\n"
 
 
+    @pytest.mark.parametrize("options, targets, kinds", [
+        (("--targets", "all"), "all", None),
+        (("--targets", "grades", "--kinds", "hat"), "grades",
+         (CentralizerKind.GRADE_TWISTED,)),
+    ], ids=["all", "grades-hat"])
+    def test_verify_streams_one_dumps_of_the_list(self, capsys, monkeypatch,
+                                                  options, targets, kinds):
+        monkeypatch.setattr(centralizers.time, "perf_counter", lambda: 0.0)
+        want = json.dumps([r.to_json_dict()
+                           for r in sweep_verify(3, targets=targets, kinds=kinds)])
+        code, out, _ = run(capsys, "verify", "--max-dim", "3", *options,
+                           "--format", "json")
+        assert code == 0
+        assert out == want + "\n"
+
+
 class TestParserBehaviour:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == 1
@@ -400,7 +472,8 @@ class TestParserBehaviour:
         ["table1", "--signature", "2,0,1", "--format", "json"],
         ["verify", "--max-dim", "3"],
         ["center", "--signature", "3,0,1"],
-    ], ids=["table1-json", "verify-text", "center-text"])
+        ["verify", "--max-dim", "3", "--format", "json"],
+    ], ids=["table1-json", "verify-text", "center-text", "verify-json"])
     def test_closed_stdout_exits_1_quietly(self, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)
