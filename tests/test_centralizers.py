@@ -563,21 +563,15 @@ class TestPerProcessCaches:
         clear_every_cache()
         forward = sweep_verify(5)
         clear_every_cache()
-        backward = [verify_case(sig, target, kind)
-                    for sig in all_signatures(5)
-                    for target in reversed(sweep_targets(sig, families))
-                    for kind in reversed(CentralizerKind)]
-        # back in forward order: per signature, targets then kinds
-        kinds = len(CentralizerKind)
-        reordered, at = [], 0
+        backward = {}
         for sig in all_signatures(5):
-            block = backward[at:at + kinds * len(sweep_targets(sig, families))]
-            at += len(block)
-            reordered += block[::-1]
+            for target in reversed(sweep_targets(sig, families)):
+                for kind in reversed(CentralizerKind):
+                    backward[sig, target, kind] = verify_case(sig, target, kind)
         want = case_records(cold)
         assert len(want) == 2445
         assert case_records(forward) == want
-        assert case_records(reordered) == want
+        assert case_records(backward[case] for case in cases) == want
 
 
 class TestClosedFormGrade:

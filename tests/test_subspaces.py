@@ -223,6 +223,7 @@ class TestQuaternionTypes:
             return hat_sign(blade)
 
         monkeypatch.setattr(subspaces, "hat_sign", counting)
+        subspaces._qt_grades.cache_clear()  # grade sets are cached per (n, m)
         for m in range(4):
             calls.clear()
             quaternion_type_subspace(sig, m)
