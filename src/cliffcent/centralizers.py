@@ -60,6 +60,12 @@ class CentralizerKind(enum.Enum):
     MIX_TWISTED = "tilde"
 
 
+def _check_kind(kind) -> None:
+    """Refuse anything but a ``CentralizerKind``, such as its value string."""
+    if not isinstance(kind, CentralizerKind):
+        raise ValueError(f"kind must be a CentralizerKind, got {kind!r}")
+
+
 # -- route one: blade-by-blade brute force --------------------------------------
 
 # The 2x2 kernel K[x_i, v_i] of one generator, nondegenerate then degenerate.
@@ -68,12 +74,13 @@ _CHUNK = 3  # generators transformed per matmul
 
 
 def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
-    """The transposed Kronecker product of the kernels of ``width``
-    consecutive generators, the top ``degenerate`` degenerate."""
+    """The Kronecker product of the kernels of ``width`` consecutive
+    generators, the top ``degenerate`` degenerate.  Every factor is
+    symmetric, so the product is too, and it needs no transpose."""
     out = np.ones((1, 1), dtype=np.int64)
     for i in range(width):
         out = np.kron(out, _GENERATOR_KERNELS[i < degenerate])
-    return np.ascontiguousarray(out.T)
+    return out
 
 
 # The degenerate generators are the trailing ones, so the kernel of a run
@@ -158,6 +165,7 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     whatever |S| is, answers all three kinds; its masks are cached per
     (signature, subspace), and the other two kinds read the cache.
     """
+    _check_kind(kind)
     if sig.n > MAX_DIM:
         raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
@@ -211,6 +219,7 @@ def nullspace_centralizer_oracle(
     diagonal, so it needs no elimination: the basis is the unit vector of
     every blade no row names, in the global order.
     """
+    _check_kind(kind)
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
     if sig.n > NULLSPACE_MAX_DIM:
@@ -306,6 +315,7 @@ def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
     Against an even V the mix-twisted condition is the plain one, and
     against an odd V it is the grade-twisted one.
     """
+    _check_kind(kind)
     if kind is not CentralizerKind.MIX_TWISTED:
         return kind
     return CentralizerKind.GRADE_TWISTED if parity & 1 else CentralizerKind.PLAIN
@@ -320,9 +330,10 @@ def closed_form_grade(sig: Signature, m: int,
     exterior tails, split by parity.  Each (signature, m, untwisted kind)
     is built once per process.
     """
+    kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
         return full_algebra(sig)
-    return _closed_form_grade(sig, m, _untwisted(kind, m))
+    return _closed_form_grade(sig, m, kind)
 
 
 @functools.lru_cache(maxsize=None)
@@ -621,6 +632,8 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
         tag = atom[0]
         if tag == "grade":
             per_atom.append(closed_form_grade(sig, atom[1], kind))
+        elif tag == "all" and kind is CentralizerKind.PLAIN:
+            per_atom.append(center_closed_form(sig))  # the paper's center Z
         elif tag in ("grade_range", "all"):
             # grades outside [0, n] span nothing, so they add no condition
             lo, hi = atom[1:] if tag == "grade_range" else (0, sig.n)

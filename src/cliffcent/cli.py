@@ -22,14 +22,11 @@ from .centralizers import (
     SWEEP_TARGET_FAMILIES,
     CentralizerKind,
     VerifyReport,
-    brute_force_centralizer,
-    center_closed_form,
     summarize,
     sweep_verify,
     table1_rows,
     verify_case,
 )
-from .subspaces import full_algebra, parse_subspace_spec
 
 DEFAULT_SWEEP_BOUND = 7
 SWEEP_BOUND_ENV = "CLIFFCENT_MAX_DIM"
@@ -127,7 +124,7 @@ def _json_object(head: dict, key: str, text: str, match: bool) -> str:
 
 def _print_query(fmt: str, header: str, report: VerifyReport) -> int:
     """One centralizer query: its brute-force blades and the closed form's
-    verdict.  ``center`` is the centralizer of the whole algebra."""
+    verdict.  ``center`` is the plain centralizer of the whole algebra."""
     if fmt == "json":
         sig = report.signature
         print(_json_object({
@@ -149,25 +146,16 @@ def _print_query(fmt: str, header: str, report: VerifyReport) -> int:
 
 
 def _cmd_centralizer(args) -> int:
-    sig = _parse_signature(args.signature)
-    spec = parse_subspace_spec(args.subspace)
-    kind = CentralizerKind(args.kind)
-    report = verify_case(sig, spec, kind, with_nullspace=False)
-    return _print_query(args.format, f"{sig} {kind.value} centralizer of {spec}",
-                        report)
+    r = verify_case(_parse_signature(args.signature), args.subspace,
+                    CentralizerKind(args.kind), with_nullspace=False)
+    return _print_query(
+        args.format, f"{r.signature} {r.kind.value} centralizer of {r.target}", r)
 
 
 def _cmd_center(args) -> int:
-    sig = _parse_signature(args.signature)
-    kind = CentralizerKind.PLAIN
-    brute = brute_force_centralizer(sig, full_algebra(sig), kind)
-    closed = center_closed_form(sig)
-    match = brute.mask == closed.mask
-    brute_blades = brute.sorted_blades()
-    report = VerifyReport(sig, "all", kind, brute_blades,
-                          brute_blades if match else closed.sorted_blades(),
-                          nullspace_dim=None, matches={"closed_form": match})
-    return _print_query(args.format, f"center of {sig}", report)
+    r = verify_case(_parse_signature(args.signature), "all",
+                    CentralizerKind.PLAIN, with_nullspace=False)
+    return _print_query(args.format, f"center of {r.signature}", r)
 
 
 def _cmd_verify(args) -> int:

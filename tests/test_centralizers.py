@@ -456,6 +456,12 @@ class TestBruteForceTransformCache:
     """One transform of a target's even and odd blades answers all three
     kinds, and the masks are cached per (signature, subspace)."""
 
+    def test_every_chunk_kernel_is_symmetric(self):
+        # widths 1..3, each with 0..width degenerate generators
+        assert len(centralizers._KERNELS) == 9
+        for key, kernel in centralizers._KERNELS.items():
+            assert np.array_equal(kernel, kernel.T), key
+
     def test_one_transform_per_distinct_target(self, monkeypatch):
         sig = make_signature(2, 1, 1)
         clear_every_cache()
@@ -899,6 +905,50 @@ class TestVerifyCase:
         rebuilt = frozenset(blade_from_indices(ix)
                             for ix in payload["brute_blades"])
         assert rebuilt == blades(sig, (), (2,), (1, 2))
+
+    def test_whole_algebra_matches_for_every_kind(self):
+        # plain reads the center formula; hat and tilde intersect grade forms
+        sigs = all_signatures(5)
+        assert len(sigs) == 55
+        for sig in sigs:
+            for kind in CentralizerKind:
+                report = verify_case(sig, "all", kind)
+                assert report.match, (sig, kind, report.diff)
+                assert set(report.matches) == {"closed_form", "nullspace"}
+
+
+class TestKindIsChecked:
+    """A kind that is not a ``CentralizerKind``, such as the CLI's value
+    string, is refused where it enters each route."""
+
+    @pytest.mark.parametrize("route", [
+        "closed_form_grade", "closed_form_qt", "closed_form_qt_pair",
+        "closed_form_nondegenerate", "closed_form_small_grade",
+        "brute_force_centralizer", "nullspace_centralizer_oracle"])
+    @pytest.mark.parametrize("kind", ["plain", "hat", None, 0])
+    def test_public_route_refuses(self, route, kind):
+        sig = make_signature(2, 0, 1)
+        scalars = grade_subspace(sig, 0)
+        call = {
+            "closed_form_grade": lambda: closed_form_grade(sig, 2, kind),
+            "closed_form_qt": lambda: closed_form_qt(sig, 2, kind),
+            "closed_form_qt_pair": lambda: closed_form_qt_pair(sig, (1, 2), kind),
+            "closed_form_nondegenerate": lambda: closed_form_nondegenerate(
+                make_signature(2, 0, 0), 2, kind),
+            "closed_form_small_grade": lambda: closed_form_small_grade(sig, 2, kind),
+            "brute_force_centralizer": lambda: brute_force_centralizer(
+                sig, scalars, kind),
+            "nullspace_centralizer_oracle": lambda: nullspace_centralizer_oracle(
+                sig, scalars, kind),
+        }[route]
+        with pytest.raises(ValueError) as caught:
+            call()
+        if route != "closed_form_small_grade":  # it keeps its own message
+            assert repr(kind) in str(caught.value)
+
+    def test_sweep_refuses_a_value_string(self):
+        with pytest.raises(ValueError, match="'plain'"):
+            sweep_verify(2, kinds=["plain"])
 
 
 class TestSweep:

@@ -152,14 +152,45 @@ class TestCenterCommand:
         assert_one_error_line(*run(capsys, "center", "--signature", "1,2"))
 
     def test_mismatch_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "center_closed_form", full_algebra)
+        # the center of Cl(2,0,0) is e[]; the patched form claims everything
+        monkeypatch.setattr(centralizers, "center_closed_form", full_algebra)
         code, out, _ = run(capsys, "center", "--signature", "2,0,0")
         assert code == 2
-        assert out.splitlines()[-1] == "closed form: MISMATCH"
+        assert out.splitlines()[-2:] == [
+            "closed form: MISMATCH",
+            "  closed_form_only_closed: e[1], e[2], e[1,2]",
+        ]
         code, out, _ = run(capsys, "center", "--signature", "2,0,0",
                            "--format", "json")
         assert code == 2
         assert json.loads(out)["match"] is False
+
+    def test_centralizer_of_all_reports_the_same_mismatch(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(centralizers, "center_closed_form", full_algebra)
+        code, out, _ = run(capsys, "centralizer", "--signature", "2,0,0",
+                           "--subspace", "all", "--kind", "plain")
+        assert code == 2
+        assert out.splitlines() == [
+            "Cl(2,0,0) plain centralizer of all",
+            "e[]",
+            "closed form: MISMATCH",
+            "  closed_form_only_closed: e[1], e[2], e[1,2]",
+        ]
+
+    def test_center_is_the_plain_centralizer_of_all(self, capsys):
+        sigs = centralizers.all_signatures(6)
+        assert len(sigs) == 83
+        for sig in sigs + [make_signature(8, 4, 4), make_signature(0, 0, 16)]:
+            pqr = f"{sig.p},{sig.q},{sig.r}"
+            code, center, _ = run(capsys, "center", "--signature", pqr,
+                                  "--format", "json")
+            assert code == 0, sig
+            code, plain, _ = run(capsys, "centralizer", "--signature", pqr,
+                                 "--subspace", "all", "--kind", "plain",
+                                 "--format", "json")
+            assert code == 0, sig
+            assert json.loads(center)["blades"] == json.loads(plain)["blades"], sig
 
 
 class TestVerifyCommand:
