@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 MAX_DIM = 16
@@ -27,29 +27,34 @@ class Signature:
 
     Generator indices are 1-based and blocked: 1..p square to +1,
     p+1..p+q square to -1, and the trailing p+q+1..n are degenerate.
+
+    ``n``, the masks and the hash are derived once, at construction: the
+    blade product reads them on every call.  They take no part in ``repr``
+    or ``==``, and the hash is that of ``(p, q, r)``.
     """
 
     p: int
     q: int
     r: int
+    n: int = field(init=False, repr=False, compare=False)
+    # Mask of the generators squaring to -1.
+    negative_mask: int = field(init=False, repr=False, compare=False)
+    # Mask of the generators squaring to 0 (the trailing r indices).
+    degenerate_mask: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.p + self.q + self.r
+    def __post_init__(self) -> None:
+        p, q, r = self.p, self.q, self.r
+        derive = functools.partial(object.__setattr__, self)
+        derive("n", p + q + r)
+        derive("negative_mask", ((1 << q) - 1) << p)
+        derive("degenerate_mask", ((1 << r) - 1) << (p + q))
+        derive("full_mask", (1 << self.n) - 1)
+        derive("_hash", hash((p, q, r)))
 
-    @property
-    def negative_mask(self) -> int:
-        """Mask of the generators squaring to -1."""
-        return ((1 << self.q) - 1) << self.p
-
-    @property
-    def degenerate_mask(self) -> int:
-        """Mask of the generators squaring to 0 (the trailing r indices)."""
-        return ((1 << self.r) - 1) << (self.p + self.q)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+    def __hash__(self) -> int:
+        return self._hash
 
     def metric_sign(self, i: int) -> int:
         """Square of generator e_i (1-based): +1, -1, or 0."""
@@ -83,6 +88,9 @@ class ScaledBlade(NamedTuple):
 
     sign: int
     blade: Blade
+
+
+_ANNIHILATED = ScaledBlade(0, 0)
 
 
 class CommuteClass(enum.Enum):
@@ -137,12 +145,12 @@ def blade_product(sig: Signature, a: Blade, b: Blade) -> ScaledBlade:
     A shared degenerate generator annihilates the product (sign 0).
     """
     full = sig.full_mask
-    if not (0 <= a <= full and 0 <= b <= full):
+    if not (type(a) is int and type(b) is int and 0 <= a <= full and 0 <= b <= full):
         check_blade(sig, a)
         check_blade(sig, b)
     shared = a & b
     if shared & sig.degenerate_mask:
-        return ScaledBlade(0, 0)
+        return _ANNIHILATED
     # Each index i of b moves left past the indices of a greater than i.
     swaps = 0
     rest = b
@@ -153,7 +161,8 @@ def blade_product(sig: Signature, a: Blade, b: Blade) -> ScaledBlade:
     sign = -1 if swaps & 1 else 1
     if (shared & sig.negative_mask).bit_count() & 1:
         sign = -sign
-    return ScaledBlade(sign, a ^ b)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(ScaledBlade, (sign, a ^ b))
 
 
 def commute_class(sig: Signature, a: Blade, b: Blade) -> CommuteClass:

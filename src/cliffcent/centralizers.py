@@ -19,6 +19,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,16 +28,15 @@ from .blades import (
     MAX_DIM,
     Blade,
     Signature,
-    blade_grade,
     blade_table,
     format_blade,
-    hat_sign,
     index_lists,
 )
 from .multivector import Multivector
 from .subspaces import (
     Subspace,
     SubspaceSpec,
+    _set_bits,
     difference,
     direct_sum,
     evaluate_spec,
@@ -195,8 +195,14 @@ def _oracle_rows(sig: Signature, v: Blade) -> Tuple[int, int]:
     for x in range(1 << sig.n):
         xv, vx = left.get(x ^ v, 0), right.get(x ^ v, 0)
         plain |= (xv != vx) << x
-        twisted |= (hat_sign(x) * xv != vx) << x
+        twisted |= ((-xv if x.bit_count() & 1 else xv) != vx) << x
     return plain, twisted
+
+
+# The row (0 plain, 1 twisted) that the oracle reads for an even and an odd v.
+_ORACLE_TWIST = {CentralizerKind.PLAIN: (0, 0), CentralizerKind.GRADE_TWISTED: (1, 1),
+                 CentralizerKind.MIX_TWISTED: (0, 1)}
+_ONE = Fraction(1)  # every oracle basis element's coefficient, shared
 
 
 def nullspace_centralizer_oracle(
@@ -225,12 +231,12 @@ def nullspace_centralizer_oracle(
     if sig.n > NULLSPACE_MAX_DIM:
         raise ValueError(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
+    twist = _ORACLE_TWIST[kind]
     failing = 0
-    for v in s.blades:
-        twist = (kind is CentralizerKind.GRADE_TWISTED
-                 or (kind is CentralizerKind.MIX_TWISTED and blade_grade(v) & 1))
-        failing |= _oracle_rows(sig, v)[twist]
-    basis = [Multivector.basis_blade(sig, x)
+    for v in _set_bits(s.mask):
+        failing |= _oracle_rows(sig, v)[twist[v.bit_count() & 1]]
+    # x comes from the blade table, so it needs no check_blade
+    basis = [Multivector(sig, {x: _ONE})
              for x in blade_table(sig.n).order if not failing >> x & 1]
     return len(basis), basis
 

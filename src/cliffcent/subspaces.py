@@ -156,6 +156,8 @@ def _grade_mask(n: int, split: int, low: Tuple[int, ...],
     Blade b is (b >> split) * 2^split + (b & (2^split - 1)), so the
     indicator, read as a 2^(n-split) x 2^split matrix, is an outer product;
     an empty grade set on either side gives the zero mask without building it.
+    The grades in ``low`` lie in [0, split] and those in ``high`` in
+    [0, n - split]; every caller clamps them.
     """
     if n > MAX_DIM:
         raise ValueError(f"graded masks limited to n <= {MAX_DIM}, got n = {n}")
@@ -164,7 +166,9 @@ def _grade_mask(n: int, split: int, low: Tuple[int, ...],
     import numpy as np
 
     def graded(width, grades):
-        return np.isin(np.bitwise_count(np.arange(1 << width)), grades)
+        wanted = np.zeros(width + 1, dtype=bool)
+        wanted[list(grades)] = True
+        return wanted[np.bitwise_count(np.arange(1 << width))]
 
     return _pack(np.outer(graded(n - split, high), graded(split, low)).ravel())
 

@@ -1,7 +1,9 @@
 """Blade-level arithmetic: products, signs, involutions, parsing."""
 
+import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import cliffcent
 from cliffcent.blades import (
     MAX_DIM,
     CommuteClass,
+    ScaledBlade,
+    Signature,
     all_blades,
     blade_from_indices,
     blade_grade,
@@ -48,6 +52,41 @@ class TestSignature:
         assert sig.negative_mask == 0b0010
         assert sig.degenerate_mask == 0b1100
         assert sig.full_mask == 0b1111
+
+    def test_derived_values_match_their_formulas(self):
+        triples = [(p, q, n - p - q) for n in range(1, MAX_DIM + 1)
+                   for p in range(n + 1) for q in range(n - p + 1)]
+        assert len(triples) == 968
+        for p, q, r in triples:
+            sig = Signature(p, q, r)
+            n = p + q + r
+            assert sig.n == n
+            assert sig.negative_mask == sum(1 << i for i in range(p, p + q))
+            assert sig.degenerate_mask == sum(1 << i for i in range(p + q, n))
+            assert sig.full_mask == 2 ** n - 1
+            assert hash(sig) == hash((p, q, r))
+
+    def test_repr_and_equality_see_only_p_q_r(self):
+        sig = Signature(2, 1, 3)
+        assert repr(sig) == "Signature(p=2, q=1, r=3)"
+        assert Signature.__match_args__ == ("p", "q", "r")
+        assert sig == Signature(2, 1, 3) and sig != Signature(2, 3, 1)
+
+    def test_pickle_and_replace_rebuild_the_derived_values(self):
+        sig = Signature(2, 1, 3)
+        for copy in (pickle.loads(pickle.dumps(sig)),
+                     dataclasses.replace(Signature(1, 1, 1), p=2, r=3)):
+            assert copy == sig and hash(copy) == hash(sig)
+            assert ((copy.n, copy.negative_mask, copy.degenerate_mask, copy.full_mask)
+                    == (6, 0b000100, 0b111000, 0b111111))
+
+    def test_derived_values_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Signature(1, 0, 0).n = 3
+
+    def test_direct_construction_is_not_bounded(self):
+        # make_signature checks the bound; the bound tests build past it
+        assert Signature(0, 0, MAX_DIM + 1).full_mask == 2 ** (MAX_DIM + 1) - 1
 
     @pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 0, 0), (17, 0, 0), (8, 8, 1),
                                      (True, 0, 0), (1, 0, False)])
@@ -173,6 +212,21 @@ class TestBladeProduct:
             message = re.escape(f"blade {bad:#x} not valid for {sig}")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 blade_product(sig, a, b)
+
+
+    def test_returns_scaled_blades(self):
+        sig = make_signature(1, 0, 1)
+        for a, b in ((1, 1), (2, 2)):  # e1 e1 = 1, e2 e2 = 0
+            assert type(blade_product(sig, a, b)) is ScaledBlade
+        assert blade_product(sig, 1, 3) == ScaledBlade(sign=1, blade=2)
+
+    @pytest.mark.parametrize("a,b", [(True, 2), (1, 2.0), (2, False)])
+    def test_rejects_bool_and_float_blades(self, a, b):
+        sig = make_signature(2, 0, 0)
+        with pytest.raises(ValueError, match="is not an int mask"):
+            blade_product(sig, a, b)
+        with pytest.raises(ValueError, match="is not an int mask"):
+            commute_class(sig, a, b)
 
 
 class TestCommuteClass:

@@ -322,6 +322,18 @@ class TestNullspaceOracle:
         wrong = blades(sig, (), (1,))
         assert not nullspace_matches_blades(dim, basis, wrong)
 
+    @pytest.mark.parametrize("pqr", [(4, 2, 2), (0, 0, 8)])
+    def test_agrees_with_brute_force_at_its_bound(self, pqr):
+        sig = make_signature(*pqr)
+        assert sig.n == centralizers.NULLSPACE_MAX_DIM
+        for target in ("grade:1", "grade:2", "qt:13"):
+            s = subspace_from_text(sig, target)
+            for kind in CentralizerKind:
+                want = brute_force_centralizer(sig, s, kind).sorted_blades()
+                dim, basis = nullspace_centralizer_oracle(sig, s, kind)
+                assert dim == len(want), (target, kind)
+                assert basis == [Multivector.basis_blade(sig, x) for x in want]
+
     def test_refuses_oversized_algebras(self):
         sig = make_signature(5, 4, 0)
         with pytest.raises(ValueError):

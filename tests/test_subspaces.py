@@ -126,6 +126,28 @@ class TestEmptyGradeMasks:
             subspaces._grade_mask(17, 0, low, high)
 
 
+class TestGradeMaskDefinition:
+    """``_grade_mask`` equals its popcount definition, blade by blade."""
+
+    @staticmethod
+    def defined(n, split, low, high):
+        below = (1 << split) - 1
+        return sum(1 << b for b in range(1 << n)
+                   if (b & below).bit_count() in low
+                   and (b >> split).bit_count() in high)
+
+    def test_every_split_of_small_n(self):
+        rng = random.Random(20)
+        for n in range(1, 9):
+            for split in range(n + 1):
+                sides = [[g for g in range(width + 1) if rng.random() < 0.5]
+                         for width in (split, n - split) for _ in range(3)]
+                for low, high in zip(sides[:3], sides[3:]):
+                    low, high = tuple(low) or (0,), tuple(high) or (0,)
+                    assert (subspaces._grade_mask(n, split, low, high)
+                            == self.defined(n, split, low, high)), (n, split, low, high)
+
+
 class TestConstructorDefinitions:
     """Each graded constructor equals a filter over every blade mask, in
     every signature with n <= 6."""
