@@ -37,6 +37,7 @@ from .subspaces import (
     Subspace,
     SubspaceSpec,
     _set_bits,
+    _unpack,
     difference,
     direct_sum,
     evaluate_spec,
@@ -117,13 +118,16 @@ _SIDE_KINDS = (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED,
 
 
 @functools.lru_cache(maxsize=None)
-def _brute_masks(sig: Signature, s: Subspace) -> Tuple[int, int, int]:
-    """The brute-force centralizer masks of S, in ``_SIDE_KINDS`` order,
-    from one transform of the even and the odd blades of S."""
-    parity_rows, signs = _parities(sig.n)
-    even, odd = _transform(sig, s.indicator() * parity_rows)
+def _brute_masks(n: int, r: int, mask: int) -> Tuple[int, int, int]:
+    """The brute-force centralizer masks of the target with this mask in
+    every Cl(p,q,r) with p + q = n - r, in ``_SIDE_KINDS`` order, from one
+    transform of its even and its odd blades.  No metric sign is read, so
+    the transform runs at the class representative Cl(n - r, 0, r)."""
+    sig = Signature(n - r, 0, r)
+    parity_rows, signs = _parities(n)
+    even, odd = _transform(sig, _unpack(mask, 1 << n) * parity_rows)
     # the right-hand sides in _SIDE_KINDS order; hat's is (-1)^|x| plain's
-    sides = np.empty((3, 1 << sig.n), dtype=np.int64)
+    sides = np.empty((3, 1 << n), dtype=np.int64)
     plain, hat, whole = sides
     np.multiply(signs, odd, out=plain)
     plain += even
@@ -131,7 +135,7 @@ def _brute_masks(sig: Signature, s: Subspace) -> Tuple[int, int, int]:
     np.add(even, odd, out=whole)
     # The degenerate generators are the top bits, so in rows of 2^(p+q)
     # entries, x & degenerate_mask is the first entry of x's row.
-    width = 1 << (sig.p + sig.q)
+    width = 1 << (n - r)
     kept = np.equal(whole.reshape(-1, width)[:, :1], sides.reshape(3, -1, width))
     packed = np.packbits(kept.reshape(3, -1), axis=1, bitorder="little")
     return tuple(int.from_bytes(row, "little") for row in packed)
@@ -162,15 +166,17 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     * hat:   A(x) = (-1)^|x| E(x) + O(x).
 
     So one transform of two rows, O(n 2^n) exact integer operations
-    whatever |S| is, answers all three kinds; its masks are cached per
-    (signature, subspace), and the other two kinds read the cache.
+    whatever |S| is, answers all three kinds.  The answer depends only on
+    n, r and the blades of S, so its masks are cached per (n, r, mask of S):
+    the other two kinds and every other split of p + q read the cache.
     """
     _check_kind(kind)
     if sig.n > MAX_DIM:
         raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    return Subspace(sig, _brute_masks(sig, s)[_SIDE_KINDS.index(kind)])
+    masks = _brute_masks(sig.n, sig.r, s.mask)
+    return Subspace(sig, masks[_SIDE_KINDS.index(kind)])
 
 
 # -- route two: exact nullspace of the defining linear system -------------------
@@ -333,24 +339,25 @@ def closed_form_grade(sig: Signature, m: int,
 
     Every 1 <= m <= n comes from one general formula, ``_general_form``:
     low exterior degrees plus products of non-degenerate grades with
-    exterior tails, split by parity.  Each (signature, m, untwisted kind)
-    is built once per process.
+    exterior tails, split by parity.  The formula reads only n, r and m, so
+    each (n, r, m, untwisted kind) is built once per process.
     """
     kind = _untwisted(kind, m)
     if m < 0 or m > sig.n:
         return full_algebra(sig)
-    return _closed_form_grade(sig, m, kind)
+    return Subspace(sig, _closed_form_grade(sig.n, sig.r, m, kind))
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_form_grade(sig: Signature, m: int,
-                       kind: CentralizerKind) -> Subspace:
-    """``closed_form_grade`` for 0 <= m <= n and a plain or hat kind."""
+def _closed_form_grade(n: int, r: int, m: int, kind: CentralizerKind) -> int:
+    """The mask of ``closed_form_grade`` for 0 <= m <= n and a plain or hat
+    kind, built at the class representative Cl(n - r, 0, r)."""
+    sig = Signature(n - r, 0, r)
     if m == 0:
         if kind is CentralizerKind.PLAIN:
-            return full_algebra(sig)
-        return parity_subspace(sig, 0)
-    return _general_form(sig, m, kind)
+            return full_algebra(sig).mask
+        return parity_subspace(sig, 0).mask
+    return _general_form(sig, m, kind).mask
 
 
 def closed_form_small_grade(sig: Signature, m: int,
@@ -704,13 +711,17 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
                      else sig.n <= ORACLE_LEG_MAX_DIM)
     if run_nullspace:
         nullspace_dim, basis = nullspace_centralizer_oracle(sig, s, kind)
-        matches["nullspace"] = nullspace_matches_blades(
-            nullspace_dim, basis, brute.blades)
+        # nullspace_matches_blades on masks: equal dimension, equal support
+        support = 0
+        for mv in basis:
+            for b in mv.blades():
+                support |= 1 << b
+        matches["nullspace"] = (nullspace_dim == brute.mask.bit_count()
+                                and support == brute.mask)
         if not matches["nullspace"]:
-            support = Subspace.from_blades(
-                sig, {b for mv in basis for b in mv.blades()})
-            diff["nullspace_only_brute"] = difference(brute, support).names()
-            diff["nullspace_only_oracle"] = difference(support, brute).names()
+            spanned = Subspace(sig, support)
+            diff["nullspace_only_brute"] = difference(brute, spanned).names()
+            diff["nullspace_only_oracle"] = difference(spanned, brute).names()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     brute_blades = brute.sorted_blades()
     main = closed_forms.get("closed_form")

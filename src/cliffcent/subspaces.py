@@ -115,10 +115,6 @@ class Subspace:
         numpy row of length 2^n."""
         return cls(sig, _pack(indicator))
 
-    def indicator(self):
-        """The span as a 0/1 uint8 numpy row of length 2^n."""
-        return _unpack(self.mask, 1 << self.signature.n)
-
     @property
     def blades(self) -> frozenset:
         """The blades as a set, read off the mask."""
@@ -126,12 +122,7 @@ class Subspace:
 
     def sorted_blades(self) -> Tuple[Blade, ...]:
         """The blades in the global enumeration order."""
-        n = self.signature.n
-        if self.mask.bit_count() <= _INT_SCAN_BLADES:
-            rank = blade_table(n).rank
-            return tuple(sorted(_set_bits(self.mask), key=rank.__getitem__))
-        order = _order_array(n)
-        return tuple(order[self.indicator()[order] == 1].tolist())
+        return _sorted_blades(self.signature.n, self.mask)
 
     def names(self) -> List[str]:
         """The blades as text, in the global enumeration order."""
@@ -145,6 +136,17 @@ class Subspace:
 
     def __str__(self) -> str:
         return ", ".join(self.names()) or "{0}"
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_blades(n: int, mask: int) -> Tuple[Blade, ...]:
+    """The set bits of ``mask`` in the global enumeration order of n
+    generators, built once per (n, mask)."""
+    if mask.bit_count() <= _INT_SCAN_BLADES:
+        rank = blade_table(n).rank
+        return tuple(sorted(_set_bits(mask), key=rank.__getitem__))
+    order = _order_array(n)
+    return tuple(order[_unpack(mask, 1 << n)[order] == 1].tolist())
 
 
 @functools.lru_cache(maxsize=None)

@@ -466,7 +466,8 @@ def count_transforms(monkeypatch):
 
 class TestBruteForceTransformCache:
     """One transform of a target's even and odd blades answers all three
-    kinds, and the masks are cached per (signature, subspace)."""
+    kinds, and the masks are cached per (n, r, target mask): every split of
+    p + q reads the masks of its class representative Cl(p + q, 0, r)."""
 
     def test_every_chunk_kernel_is_symmetric(self):
         # widths 1..3, each with 0..width degenerate generators
@@ -499,7 +500,43 @@ class TestBruteForceTransformCache:
         calls = count_transforms(monkeypatch)
         again = [brute_force_centralizer(sig, s, kind) for kind in CentralizerKind]
         assert again == first
-        assert calls == [sig]
+        assert calls == [make_signature(2, 0, 2)]
+
+    def test_the_splits_of_a_class_share_transforms_and_grade_forms(
+            self, monkeypatch):
+        clear_every_cache()
+        calls = count_transforms(monkeypatch)
+        grade_forms = centralizers._closed_form_grade
+        misses = []
+        for pqr in ((3, 0, 1), (2, 1, 1), (1, 2, 1), (0, 3, 1)):
+            sig = make_signature(*pqr)
+            for target in sweep_targets(sig, centralizers.SWEEP_TARGET_FAMILIES):
+                for kind in CentralizerKind:
+                    report = verify_case(sig, target, kind, with_nullspace=False)
+                    assert report.match, (sig, target, kind, report.diff)
+            misses.append(grade_forms.cache_info().misses)
+        # 12 distinct targets at n = 4, all transformed at Cl(3,0,1)
+        assert calls == [make_signature(3, 0, 1)] * 12
+        # grades 0..4, each under the plain and the hat kind
+        assert misses == [10] * 4
+
+    def test_warm_splits_agree_with_the_pair_kernel(self):
+        clear_every_cache()
+        signatures = all_signatures(5)
+        families = centralizers.SWEEP_TARGET_FAMILIES
+        for sig in signatures:
+            for target in sweep_targets(sig, families):
+                s = subspace_from_text(sig, target)
+                for kind in CentralizerKind:
+                    brute_force_centralizer(sig, s, kind)
+        for sig in reversed(signatures):
+            for target in sweep_targets(sig, families):
+                s = subspace_from_text(sig, target)
+                for kind in CentralizerKind:
+                    got = brute_force_centralizer(sig, s, kind)
+                    assert got.signature == sig
+                    assert got.blades == pair_kernel_centralizer(sig, s, kind), \
+                        (sig, target, kind)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(CentralizerKind)))
     def test_every_order_of_kinds_gives_the_masks_of_fresh_calls(self, order):
@@ -548,9 +585,10 @@ class TestPerProcessCaches:
         main(["table1", "--signature", "1,1,1"])
         capsys.readouterr()
         caches = cliffcent_caches()
-        for name in ("_parsed", "_target", "_closed_form_grade"):
+        for name in ("_parsed", "_target", "_closed_form_grade", "_brute_masks"):
             assert caches[f"cliffcent.centralizers.{name}"].cache_info().currsize
-        assert caches["cliffcent.subspaces._qt_grades"].cache_info().currsize
+        for name in ("_qt_grades", "_sorted_blades"):
+            assert caches[f"cliffcent.subspaces.{name}"].cache_info().currsize
         clear_every_cache()
         assert {name: cache.cache_info().currsize
                 for name, cache in caches.items()} == dict.fromkeys(caches, 0)
@@ -900,6 +938,19 @@ class TestVerifyCase:
         assert json.loads(json.dumps(report.to_json_dict()))["diff"] == {
             "nullspace_only_brute": ["e[1,2,3]"],
             "nullspace_only_oracle": ["e[3]", "e[2,3]"]}
+
+    def test_oracle_dimension_is_checked_with_its_support(self, monkeypatch):
+        # a dimension one above the basis, whose support is brute force's
+        original = centralizers.nullspace_centralizer_oracle
+        monkeypatch.setattr(
+            centralizers, "nullspace_centralizer_oracle",
+            lambda sig, s, kind: (original(sig, s, kind)[0] + 1,
+                                  original(sig, s, kind)[1]))
+        report = verify_case(make_signature(3, 0, 0), "grade:2", PLAIN,
+                             with_nullspace=True)
+        assert report.matches["nullspace"] is False
+        assert report.diff == {"nullspace_only_brute": [],
+                               "nullspace_only_oracle": []}
 
     def test_nullspace_opt_out(self):
         sig = make_signature(1, 1, 0)

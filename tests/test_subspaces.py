@@ -381,6 +381,32 @@ class TestSortedBlades:
         assert s.sorted_blades() == blade_table(sig.n).order
         assert calls == []
 
+    @staticmethod
+    def masks_to_check():
+        """Every mask with n <= 3, then 200 seeded masks for each n in
+        4..10: half dense, half with at most 32 blades."""
+        for n in range(1, 4):
+            for mask in range(1 << (1 << n)):
+                yield n, mask
+        rng = random.Random(21)
+        for n in range(4, 11):
+            size = 1 << n
+            for i in range(200):
+                if i % 2:
+                    blades = rng.sample(range(size), rng.randint(0, min(size, 32)))
+                    yield n, sum(1 << b for b in blades)
+                else:
+                    yield n, rng.getrandbits(size)
+
+    def test_cached_tuples_match_sort_key(self):
+        subspaces._sorted_blades.cache_clear()
+        for n, mask in self.masks_to_check():
+            first = subspaces._sorted_blades(n, mask)
+            want = sorted((b for b in range(1 << n) if mask >> b & 1),
+                          key=blade_sort_key)
+            assert list(first) == want, (n, hex(mask))
+            assert subspaces._sorted_blades(n, mask) is first
+
 
 class TestDirectSum:
     def test_disjoint_union(self):
