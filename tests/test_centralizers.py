@@ -940,12 +940,14 @@ class TestVerifyCase:
             "nullspace_only_oracle": ["e[3]", "e[2,3]"]}
 
     def test_oracle_dimension_is_checked_with_its_support(self, monkeypatch):
-        # a dimension one above the basis, whose support is brute force's
         original = centralizers.nullspace_centralizer_oracle
-        monkeypatch.setattr(
-            centralizers, "nullspace_centralizer_oracle",
-            lambda sig, s, kind: (original(sig, s, kind)[0] + 1,
-                                  original(sig, s, kind)[1]))
+
+        def one_dimension_too_many(sig, s, kind):
+            dim, basis = original(sig, s, kind)  # its support is brute force's
+            return dim + 1, basis
+
+        monkeypatch.setattr(centralizers, "nullspace_centralizer_oracle",
+                            one_dimension_too_many)
         report = verify_case(make_signature(3, 0, 0), "grade:2", PLAIN,
                              with_nullspace=True)
         assert report.matches["nullspace"] is False
