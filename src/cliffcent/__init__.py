@@ -30,16 +30,12 @@ from .multivector import (
     adjoint,
     adjoint_hat,
     adjoint_tilde,
-    commutator,
     geometric_product,
     grade_involute,
     grade_project,
     inverse_of,
     is_invertible,
-    left_regular_matrix,
-    mv_add,
     mv_from_terms,
-    mv_scale,
     parity_project,
     reverse,
 )
@@ -61,10 +57,7 @@ from .subspaces import (
     parity_subspace,
     parse_subspace_spec,
     quaternion_type_subspace,
-    subspace_contains,
-    subspace_equals,
     subspace_from_text,
-    zero_subspace,
 )
 from .centralizers import (
     CentralizerKind,

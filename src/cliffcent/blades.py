@@ -56,16 +56,6 @@ class Signature:
     def __hash__(self) -> int:
         return self._hash
 
-    def metric_sign(self, i: int) -> int:
-        """Square of generator e_i (1-based): +1, -1, or 0."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        if i <= self.p:
-            return 1
-        if i <= self.p + self.q:
-            return -1
-        return 0
-
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q},{self.r})"
 

@@ -197,20 +197,10 @@ class Multivector:
 
 mv_from_terms = Multivector.from_terms
 geometric_product = Multivector.__mul__
-mv_add = Multivector.__add__
 grade_project = Multivector.grade_project
 parity_project = Multivector.parity_project
 grade_involute = Multivector.grade_involute
 reverse = Multivector.reverse
-
-
-def mv_scale(c: Rational, u: Multivector) -> Multivector:
-    return u.scale(c)
-
-
-def commutator(u: Multivector, v: Multivector) -> Multivector:
-    """UV - VU."""
-    return u * v - v * u
 
 
 # -- regular representation and inverses ---------------------------------------
@@ -223,16 +213,6 @@ def _regular_columns(t: Multivector) -> List[Dict[int, Fraction]]:
     return [{position[b]: v for b, v in
              (t * Multivector.basis_blade(sig, blade))._terms.items()}
             for blade in order]
-
-
-def left_regular_matrix(t: Multivector) -> List[List[Fraction]]:
-    """Dense 2^n x 2^n matrix of U -> T*U in the global blade order."""
-    columns = _regular_columns(t)
-    matrix = [[Fraction(0)] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
-        for i, v in column.items():
-            matrix[i][j] = v
-    return matrix
 
 
 def _inverse_coeffs(t: Multivector) -> Optional[List[Fraction]]:

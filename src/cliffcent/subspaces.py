@@ -107,12 +107,6 @@ class Subspace:
 
         indicator = np.zeros(max(blades, default=-1) + 1, dtype=bool)
         indicator[np.array(blades, dtype=np.intp)] = True
-        return cls.from_indicator(sig, indicator)
-
-    @classmethod
-    def from_indicator(cls, sig: Signature, indicator) -> "Subspace":
-        """The span of the blades b with ``indicator[b]`` nonzero, for a
-        numpy row of length 2^n."""
         return cls(sig, _pack(indicator))
 
     @property
@@ -184,10 +178,6 @@ def _parity_mask(n: int, l: int) -> int:
     if l not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {l}")
     return _grade_mask(n, 0, (0,), tuple(range(l, n + 1, 2)))
-
-
-def zero_subspace(sig: Signature) -> Subspace:
-    return Subspace(sig, 0)
 
 
 def full_algebra(sig: Signature) -> Subspace:
@@ -285,15 +275,6 @@ def direct_sum(parts: Sequence[Subspace]) -> Subspace:
             raise ValueError(f"direct_sum operands overlap (e.g. {sample})")
         acc |= part.mask
     return Subspace(sig, acc)
-
-
-def subspace_equals(a: Subspace, b: Subspace) -> bool:
-    return a.signature == b.signature and a.mask == b.mask
-
-
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True when A is a superset of B."""
-    return a.signature == b.signature and b.mask & ~a.mask == 0
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -43,10 +43,6 @@ class TestSignature:
         assert sig.n == 6
         assert str(sig) == "Cl(2,1,3)"
 
-    def test_metric_signs(self):
-        sig = make_signature(1, 2, 1)
-        assert [sig.metric_sign(i) for i in range(1, 5)] == [1, -1, -1, 0]
-
     def test_masks(self):
         sig = make_signature(1, 1, 2)
         assert sig.negative_mask == 0b0010
