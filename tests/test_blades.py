@@ -43,6 +43,12 @@ class TestSignature:
         assert sig.n == 6
         assert str(sig) == "Cl(2,1,3)"
 
+    def test_metric_signs(self):
+        # the metric sign of generator e_i is the sign of its square
+        sig = make_signature(1, 2, 1)
+        squares = [blade_product(sig, 1 << (i - 1), 1 << (i - 1)) for i in range(1, 5)]
+        assert squares == [(1, 0), (-1, 0), (-1, 0), (0, 0)]
+
     def test_masks(self):
         sig = make_signature(1, 1, 2)
         assert sig.negative_mask == 0b0010

@@ -109,6 +109,7 @@ class TestConstruction:
         lambda value: mv_from_terms(SIG, [(0, value)]),
         lambda value: Multivector.scalar(SIG, value),
         lambda value: Multivector.basis_blade(SIG, 1).scale(value),
+        lambda value: Multivector.zero(SIG).scale(value),
     ])
     @pytest.mark.parametrize("value", [0.1, 1e-300, 0.5, 2.0, 0.0, "1/2", True, False])
     def test_rejects_inexact_coefficients(self, build, value):
@@ -133,6 +134,12 @@ class TestArithmetic:
     def test_module_level_ops_agree_with_methods(self):
         u, v = mv(((1,), 2)), mv(((2,), 3), ((), 1))
         assert geometric_product(u, v) == u * v
+
+    def test_commutator(self):
+        # distinct generators anticommute, so [e1, e2] = 2 e12
+        u, v = mv(((1,), 1)), mv(((2,), 1))
+        assert u * v - v * u == mv(((1, 2), 2))
+        assert (u * u - u * u).is_zero()
 
     @given(multivectors(sig=SIG), multivectors(sig=SIG), multivectors(sig=SIG))
     @settings(max_examples=60)
