@@ -282,7 +282,16 @@ def _byte_texts() -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
 
 
 def index_lists_json(blades: Iterable[Blade]) -> str:
-    """``json.dumps(index_lists(blades))``, joined from 256-entry text tables."""
+    """``json.dumps(index_lists(blades))``, joined from 256-entry text tables.
+
+    The text is built once per process for each tuple of blades, on a
+    private name below this one, so a wrapper or patch here sees every call.
+    """
+    return _blades_json(tuple(blades))
+
+
+@functools.lru_cache(maxsize=None)
+def _blades_json(blades: Tuple[Blade, ...]) -> str:
     low, alone, after = _byte_texts()
     return "[" + ", ".join([low[b & 255] + (after if b & 255 else alone)[b >> 8]
                             for b in blades]) + "]"

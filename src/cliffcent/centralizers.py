@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .blades import (
     blade_table,
     format_blade,
     index_lists,
+    index_lists_json,
 )
 from .multivector import Multivector
 from .subspaces import (
@@ -630,6 +632,23 @@ class VerifyReport:
             "diff": dict(self.diff),
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def report_json(report: VerifyReport) -> str:
+    """``json.dumps(report.to_json_dict())``, with both blade lists read
+    from the per-process text of ``index_lists_json``."""
+    sig = report.signature
+    brute = closed = index_lists_json(report.brute_blades)
+    if report.closed_blades is not report.brute_blades:
+        closed = ("null" if report.closed_blades is None
+                  else index_lists_json(report.closed_blades))
+    head = json.dumps({"signature": {"p": sig.p, "q": sig.q, "r": sig.r},
+                       "target": report.target, "kind": report.kind.value})
+    tail = json.dumps({"nullspace_dim": report.nullspace_dim,
+                       "matches": report.matches, "match": report.match,
+                       "diff": report.diff, "elapsed_ms": report.elapsed_ms})
+    return (f'{head[:-1]}, "brute_blades": {brute}, '
+            f'"closed_blades": {closed}, {tail[1:]}')
 
 
 def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,

@@ -22,6 +22,7 @@ from .centralizers import (
     SWEEP_TARGET_FAMILIES,
     CentralizerKind,
     VerifyReport,
+    report_json,
     summarize,
     sweep_verify,
     table1_rows,
@@ -172,7 +173,7 @@ def _cmd_verify(args) -> int:
         for i, r in enumerate(reports):
             if i:
                 write(", ")
-            write(json.dumps(r.to_json_dict()))
+            write(report_json(r))
         write("]\n")
     else:
         for r in reports:

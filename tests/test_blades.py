@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cliffcent
+from cliffcent import blades
 from cliffcent.blades import (
     MAX_DIM,
     CommuteClass,
@@ -152,6 +154,52 @@ class TestBladeTable:
                  "assert blade_table.cache_info().currsize == 0\n")
         subprocess.run([sys.executable, "-c", check], check=True,
                        env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+class TestBladeText:
+    """``index_lists_json`` reads its text from a per-process cache keyed on
+    the tuple of blades, ``blades._blades_json``."""
+
+    @staticmethod
+    def blade_sets():
+        """The sorted blades of every mask with n <= 3, then of 50 seeded
+        masks for each n in 4..16: half dense, half with at most 32 blades."""
+        for n in range(1, 4):
+            order = blade_table(n).order
+            for mask in range(1 << (1 << n)):
+                yield tuple(b for b in order if mask >> b & 1)
+        rng = random.Random(23)
+        for n in range(4, MAX_DIM + 1):
+            order = blade_table(n).order
+            for i in range(50):
+                if i % 2:
+                    chosen = set(rng.sample(order, rng.randint(0, min(len(order), 32))))
+                    yield tuple(b for b in order if b in chosen)
+                else:
+                    yield tuple(b for b in order if rng.getrandbits(1))
+
+    def test_cached_text_is_json_dumps(self):
+        blades._blades_json.cache_clear()
+        try:
+            for chosen in self.blade_sets():
+                want = json.dumps(index_lists(chosen))
+                assert index_lists_json(chosen) == want, chosen[:8]
+        finally:
+            blades._blades_json.cache_clear()
+
+    def test_any_iterable_of_blades(self):
+        want = json.dumps(index_lists(range(1, 9)))
+        assert index_lists_json(list(range(1, 9))) == want
+        assert index_lists_json(range(1, 9)) == want
+        assert index_lists_json(b for b in range(1, 9)) == want
+
+    def test_an_equal_tuple_is_a_cache_hit(self):
+        blades._blades_json.cache_clear()
+        first = index_lists_json(tuple(blade_table(5).order[3:20]))
+        assert blades._blades_json.cache_info().misses == 1
+        assert index_lists_json(tuple(blade_table(5).order[3:20])) is first
+        info = blades._blades_json.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestBladeProduct:

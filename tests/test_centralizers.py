@@ -1,5 +1,6 @@
 """Centralizer routes: brute force, nullspace oracle, and closed forms."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -18,6 +19,7 @@ from cliffcent.blades import (
     blade_grade,
     blade_product,
     blade_table,
+    index_lists_json,
     make_signature,
 )
 from cliffcent.centralizers import (
@@ -35,6 +37,7 @@ from cliffcent.centralizers import (
     closed_form_small_grade,
     nullspace_centralizer_oracle,
     nullspace_matches_blades,
+    report_json,
     summarize,
     sweep_targets,
     sweep_verify,
@@ -583,19 +586,22 @@ class TestPerProcessCaches:
     def test_the_benchmark_reset_empties_every_cache(self, capsys):
         main(["verify", "--max-dim", "2"])
         main(["table1", "--signature", "1,1,1"])
+        main(["table1", "--signature", "1,1,1", "--format", "json"])
         capsys.readouterr()
         caches = cliffcent_caches()
         for name in ("_parsed", "_target", "_closed_form_grade", "_brute_masks"):
             assert caches[f"cliffcent.centralizers.{name}"].cache_info().currsize
         for name in ("_qt_grades", "_sorted_blades"):
             assert caches[f"cliffcent.subspaces.{name}"].cache_info().currsize
+        assert caches["cliffcent.blades._blades_json"].cache_info().currsize
         clear_every_cache()
         assert {name: cache.cache_info().currsize
                 for name, cache in caches.items()} == dict.fromkeys(caches, 0)
 
     def test_no_name_the_tracer_wraps_is_a_cache(self):
         # the entry points perfbench/tracer.py replaces with span wrappers,
-        # which carry no cache_clear for the reset to find
+        # which carry no cache_clear for the reset to find, and
+        # index_lists_json, whose blade text a tracer may time on its own
         wrapped = [getattr(centralizers, name) for name in (
             "closed_form_grade", "closed_form_small_grade",
             "closed_form_nondegenerate", "closed_form_qt",
@@ -603,7 +609,7 @@ class TestPerProcessCaches:
             "verify_case", "brute_force_centralizer",
             "nullspace_centralizer_oracle")]
         wrapped += [subspaces.evaluate_spec, blade_product, _linalg.nullspace,
-                    cli.main]
+                    cli.main, index_lists_json]
         assert [fn.__name__ for fn in wrapped
                 if hasattr(fn, "cache_clear")] == []
 
@@ -980,6 +986,45 @@ class TestVerifyCase:
                 report = verify_case(sig, "all", kind)
                 assert report.match, (sig, kind, report.diff)
                 assert set(report.matches) == {"closed_form", "nullspace"}
+
+
+class TestReportJson:
+    """``report_json`` writes exactly ``json.dumps(to_json_dict())``."""
+
+    @staticmethod
+    def assert_written_as_dumps(report):
+        assert report_json(report) == json.dumps(report.to_json_dict())
+
+    def test_every_record_of_a_sweep_with_the_oracle_leg(self):
+        reports = sweep_verify(6)
+        assert len(reports) == 3873
+        assert all("nullspace" in r.matches for r in reports)
+        for report in reports:
+            self.assert_written_as_dumps(report)
+
+    def test_a_target_without_closed_form(self):
+        report = verify_case(make_signature(1, 0, 2), "lambda:1", PLAIN)
+        assert report.closed_blades is None
+        self.assert_written_as_dumps(report)
+
+    def test_without_the_oracle_leg(self):
+        report = verify_case(make_signature(2, 1, 1), "qt:13", HAT,
+                             with_nullspace=False)
+        assert report.nullspace_dim is None
+        self.assert_written_as_dumps(report)
+
+    def test_a_mismatch_with_its_diff(self, monkeypatch):
+        monkeypatch.setattr(centralizers, "center_closed_form", full_algebra)
+        report = verify_case(make_signature(2, 0, 0), "all", PLAIN)
+        assert report.closed_blades != report.brute_blades
+        assert report.diff["closed_form_only_closed"] == ["e[1]", "e[2]", "e[1,2]"]
+        self.assert_written_as_dumps(report)
+
+    @pytest.mark.parametrize("elapsed_ms", [0.0, 1e-05, 123456.789, 1e16])
+    def test_elapsed_ms(self, elapsed_ms):
+        report = verify_case(make_signature(1, 1, 0), "grade:1", TILDE)
+        self.assert_written_as_dumps(
+            dataclasses.replace(report, elapsed_ms=elapsed_ms))
 
 
 class TestKindIsChecked:
