@@ -38,7 +38,7 @@ from .multivector import Multivector
 from .subspaces import (
     Subspace,
     SubspaceSpec,
-    _set_bits,
+    _pack,
     _unpack,
     difference,
     direct_sum,
@@ -139,8 +139,7 @@ def _brute_masks(n: int, r: int, mask: int) -> Tuple[int, int, int]:
     # entries, x & degenerate_mask is the first entry of x's row.
     width = 1 << (n - r)
     kept = np.equal(whole.reshape(-1, width)[:, :1], sides.reshape(3, -1, width))
-    packed = np.packbits(kept.reshape(3, -1), axis=1, bitorder="little")
-    return tuple(int.from_bytes(row, "little") for row in packed)
+    return tuple(_pack(row) for row in kept.reshape(3, -1))
 
 
 def brute_force_centralizer(sig: Signature, s: Subspace,
@@ -241,7 +240,7 @@ def nullspace_centralizer_oracle(
             f"nullspace oracle limited to n <= {NULLSPACE_MAX_DIM}, got n = {sig.n}")
     twist = _ORACLE_TWIST[kind]
     failing = 0
-    for v in _set_bits(s.mask):
+    for v in s.sorted_blades():
         failing |= _oracle_rows(sig, v)[twist[v.bit_count() & 1]]
     # x comes from the blade table, so it needs no check_blade
     basis = [Multivector(sig, {x: _ONE})
@@ -742,19 +741,14 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
             diff["nullspace_only_brute"] = difference(brute, spanned).names()
             diff["nullspace_only_oracle"] = difference(spanned, brute).names()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    brute_blades = brute.sorted_blades()
     main = closed_forms.get("closed_form")
-    closed_blades = brute_blades  # one tuple when the routes agree
-    if main is None:
-        closed_blades = None
-    elif main.mask != brute.mask:
-        closed_blades = main.sorted_blades()
     return VerifyReport(
         signature=sig,
         target=str(spec),
         kind=kind,
-        brute_blades=brute_blades,
-        closed_blades=closed_blades,
+        brute_blades=brute.sorted_blades(),
+        # agreeing routes share one tuple through the per-(n, mask) cache
+        closed_blades=None if main is None else main.sorted_blades(),
         nullspace_dim=nullspace_dim,
         matches=matches,
         diff=diff,
@@ -839,15 +833,19 @@ class Table1Row:
     def match(self) -> bool:
         return all(self.matches)
 
-    def to_json_dict(self) -> dict:
+    def json_head(self) -> dict:
+        """The keys before ``blades``, which ``cli`` writes as text."""
         return {
             "target": self.label,
             "kind": self.kind.value,
             "target_specs": list(self.targets),
             "reduction": self.reduction,
-            "blades": index_lists(self.subspace.sorted_blades()),
-            "match": self.match,
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.json_head(),
+                "blades": index_lists(self.subspace.sorted_blades()),
+                "match": self.match}
 
 
 _TABLE1_LAYOUT: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (

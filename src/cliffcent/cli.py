@@ -191,14 +191,11 @@ def _cmd_table1(args) -> int:
     rows = table1_rows(sig)
     all_match = all(row.match for row in rows)
     if args.format == "json":
-        # the keys of Table1Row.to_json_dict, with its blades as JSON text
-        texts = [_json_object({
-            "target": row.label,
-            "kind": row.kind.value,
-            "target_specs": list(row.targets),
-            "reduction": row.reduction,
-        }, "blades", index_lists_json(row.subspace.sorted_blades()), row.match)
-            for row in rows]
+        # Table1Row.to_json_dict, with its blades as JSON text
+        texts = [_json_object(row.json_head(), "blades",
+                              index_lists_json(row.subspace.sorted_blades()),
+                              row.match)
+                 for row in rows]
         print(_json_object({"signature": {"p": sig.p, "q": sig.q, "r": sig.r}},
                            "rows", f"[{', '.join(texts)}]", all_match))
     else:

@@ -35,14 +35,11 @@ from .blades import (
     tilde_sign,
 )
 
-# Masks with up to this many blades are scanned with int operations;
-# larger ones go through numpy (imported on first use, as in
-# ``blades.blade_table``).
-_INT_SCAN_BLADES = 32
-
 
 def _unpack(mask: int, size: int):
-    """The low ``size`` bits of ``mask`` as a 0/1 uint8 array."""
+    """The low ``size`` bits of ``mask`` as a 0/1 uint8 array; the one way
+    from a mask to its blades.  numpy is imported on first use, as in
+    ``blades.blade_table``."""
     import numpy as np
 
     data = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
@@ -55,20 +52,6 @@ def _pack(indicator) -> int:
 
     return int.from_bytes(np.packbits(indicator, bitorder="little").tobytes(),
                           "little")
-
-
-def _set_bits(mask: int) -> List[Blade]:
-    """The positions of the set bits of ``mask``, ascending."""
-    if mask.bit_count() > _INT_SCAN_BLADES:
-        import numpy as np
-
-        return np.flatnonzero(_unpack(mask, mask.bit_length())).tolist()
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,7 +95,10 @@ class Subspace:
     @property
     def blades(self) -> frozenset:
         """The blades as a set, read off the mask."""
-        return frozenset(_set_bits(self.mask))
+        import numpy as np
+
+        bits = _unpack(self.mask, 1 << self.signature.n)
+        return frozenset(np.flatnonzero(bits).tolist())
 
     def sorted_blades(self) -> Tuple[Blade, ...]:
         """The blades in the global enumeration order."""
@@ -136,9 +122,6 @@ class Subspace:
 def _sorted_blades(n: int, mask: int) -> Tuple[Blade, ...]:
     """The set bits of ``mask`` in the global enumeration order of n
     generators, built once per (n, mask)."""
-    if mask.bit_count() <= _INT_SCAN_BLADES:
-        rank = blade_table(n).rank
-        return tuple(sorted(_set_bits(mask), key=rank.__getitem__))
     order = _order_array(n)
     return tuple(order[_unpack(mask, 1 << n)[order] == 1].tolist())
 

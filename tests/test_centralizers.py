@@ -1,9 +1,11 @@
 """Centralizer routes: brute force, nullspace oracle, and closed forms."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -1027,6 +1029,28 @@ class TestReportJson:
             dataclasses.replace(report, elapsed_ms=elapsed_ms))
 
 
+class TestSharedBladeTuples:
+    """A report's blade tuples come from the per-(n, mask) cache below
+    ``Subspace.sorted_blades``, so agreeing routes, and every report with
+    the same blades, hold one tuple.  That sharing keeps the reports of a
+    long sweep small (``verify --max-dim 10`` peaks at about 43 MiB)."""
+
+    def test_every_report_of_a_sweep_shares_its_tuples(self):
+        first = {}
+        for r in sweep_verify(6):
+            assert (r.closed_blades is r.brute_blades) is r.matches["closed_form"]
+            key = (r.signature.n, r.brute_blades)
+            assert first.setdefault(key, r.brute_blades) is r.brute_blades
+
+    def test_formula_free_targets_have_no_closed_tuple(self):
+        for pqr, target, kind in itertools.product(
+                [(1, 0, 2), (0, 0, 3), (2, 1, 3)],
+                ["lambda:1", "grade:0..2+lambda:3"], CentralizerKind):
+            report = verify_case(make_signature(*pqr), target, kind)
+            assert "closed_form" not in report.matches
+            assert report.closed_blades is None
+
+
 class TestKindIsChecked:
     """A kind that is not a ``CentralizerKind``, such as the CLI's value
     string, is refused where it enters each route."""
@@ -1113,6 +1137,30 @@ class TestTable1:
         payload = rows[0].to_json_dict()
         assert set(payload) == {"target", "kind", "target_specs",
                                 "reduction", "blades", "match"}
+
+    @staticmethod
+    def named_form(sig, reduction):
+        """The subspace a reduction label names: ``Z``/``Zh`` is the plain
+        or hat closed form of the grade after ``^``, ``<...>_(0)`` its even
+        part and ``n`` an intersection."""
+        if reduction == "Z (center)":
+            return center_closed_form(sig)
+        parts = []
+        for term in reduction.split(" n "):
+            even, name, m = re.fullmatch(r"(<?)(Zh?)\^(\d)(?:>_\(0\))?", term).groups()
+            form = closed_form_grade(sig, int(m), HAT if name == "Zh" else PLAIN)
+            parts.append(parity_part(form, 0) if even else form)
+        return functools.reduce(intersect, parts)
+
+    def test_every_reduction_is_its_named_form(self):
+        sigs = all_signatures(SWEEP_MAX_DIM)
+        assert len(sigs) == 285
+        for sig in sigs:
+            rows = table1_rows(sig)
+            assert len({row.reduction for row in rows}) == 14
+            for row in rows:
+                assert row.subspace == self.named_form(sig, row.reduction), \
+                    (sig, row.label, row.reduction)
 
     def test_multi_target_rows_check_every_equality(self):
         rows = table1_rows(make_signature(2, 1, 0))

@@ -418,6 +418,19 @@ def signature_json(sig):
     return {"p": sig.p, "q": sig.q, "r": sig.r}
 
 
+def assert_same_text(out, want):
+    """``out == want``.  On a difference, fail with the first differing
+    offset and about 80 characters on each side of it: pytest's own diff
+    of two long one-line outputs can take minutes."""
+    if out == want:
+        return
+    at = len(os.path.commonprefix([out, want]))
+    lo, hi = max(at - 80, 0), at + 80
+    pytest.fail(f"output differs at offset {at} (lengths {len(out)} and "
+                f"{len(want)})\n got: {out[lo:hi]!r}\nwant: {want[lo:hi]!r}",
+                pytrace=False)
+
+
 class TestJsonBytes:
     """``--format json`` prints exactly ``json.dumps`` of the payload built
     from ``index_lists`` and ``Table1Row.to_json_dict``."""
@@ -433,7 +446,7 @@ class TestJsonBytes:
         code, out, _ = run(capsys, "center", "--signature", text,
                            "--format", "json")
         assert code == 0
-        assert out == json.dumps(want) + "\n"
+        assert_same_text(out, json.dumps(want) + "\n")
 
     @pytest.mark.parametrize("text", JSON_SIGNATURES)
     @pytest.mark.parametrize("spec, kind", [("grade:1", "hat"), ("even", "plain"),
@@ -448,7 +461,7 @@ class TestJsonBytes:
         code, out, _ = run(capsys, "centralizer", "--signature", text,
                            "--subspace", spec, "--kind", kind, "--format", "json")
         assert code == 0
-        assert out == json.dumps(want) + "\n"
+        assert_same_text(out, json.dumps(want) + "\n")
 
     @pytest.mark.parametrize("text", JSON_SIGNATURES)
     def test_table1(self, capsys, text):
@@ -460,7 +473,7 @@ class TestJsonBytes:
         code, out, _ = run(capsys, "table1", "--signature", text,
                            "--format", "json")
         assert code == 0
-        assert out == json.dumps(want) + "\n"
+        assert_same_text(out, json.dumps(want) + "\n")
 
 
     @pytest.mark.parametrize("options, targets, kinds", [
@@ -476,7 +489,7 @@ class TestJsonBytes:
         code, out, _ = run(capsys, "verify", "--max-dim", "3", *options,
                            "--format", "json")
         assert code == 0
-        assert out == want + "\n"
+        assert_same_text(out, want + "\n")
 
 
 class TestParserBehaviour:
