@@ -248,21 +248,22 @@ def nullspace_centralizer_oracle(
     return len(basis), basis
 
 
+def _oracle_span(dim: int, basis: Sequence[Multivector]) -> Tuple[int, bool]:
+    """The mask of the union of the basis supports, and whether ``dim`` is
+    its blade count.  A basis supported inside a blade set spans a subspace
+    of it, so it spans the set exactly when both hold with the set's mask."""
+    support = 0
+    for mv in basis:
+        for b in mv.blades():
+            support |= 1 << b
+    return support, dim == support.bit_count()
+
+
 def nullspace_matches_blades(dim: int, basis: Sequence[Multivector],
                              blades: frozenset) -> bool:
-    """Does span(basis) equal the span of the given blade set?
-
-    Dimension equality plus support containment pins the span: a basis
-    supported inside the blade set spans a subspace of it, and equal
-    dimensions force equality.  The union of supports must then cover
-    every blade.
-    """
-    if dim != len(blades):
-        return False
-    support: set = set()
-    for mv in basis:
-        support.update(mv.blades())
-    return support == set(blades)
+    """Does span(basis) equal the span of the given blade set?"""
+    support, consistent = _oracle_span(dim, basis)
+    return consistent and support == sum(1 << b for b in set(blades))
 
 
 # -- route three: closed forms ---------------------------------------------------
@@ -710,36 +711,30 @@ def _target(sig: Signature, spec: SubspaceSpec) -> Subspace:
 
 def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
                 with_nullspace: Optional[bool] = None) -> VerifyReport:
-    """Run every available route for one case and report all comparisons."""
+    """Run every available route for one case and report all comparisons.
+
+    Each closed form, then the oracle, is a leg (name, mask, consistent,
+    side) that agrees when it is consistent and has brute force's mask; a
+    mismatch lists ``<name>_only_brute`` and ``<name>_only_<side>``."""
     spec = _parsed(target) if isinstance(target, str) else target
     started = time.perf_counter()
     s = _target(sig, spec)
     brute = brute_force_centralizer(sig, s, kind)
+    closed_forms = _closed_forms_for_target(sig, spec, kind)
+    legs = [(name, form.mask, True, "closed")
+            for name, form in closed_forms.items()]
+    nullspace_dim = None
+    if (with_nullspace if with_nullspace is not None
+            else sig.n <= ORACLE_LEG_MAX_DIM):
+        nullspace_dim, basis = nullspace_centralizer_oracle(sig, s, kind)
+        legs.append(("nullspace", *_oracle_span(nullspace_dim, basis), "oracle"))
     matches: Dict[str, bool] = {}
     diff: Dict[str, List[str]] = {}
-    closed_forms = _closed_forms_for_target(sig, spec, kind)
-    for name, form in closed_forms.items():
-        agree = form.mask == brute.mask
-        matches[name] = agree
+    for name, mask, consistent, side in legs:
+        matches[name] = agree = consistent and mask == brute.mask
         if not agree:
-            diff[name + "_only_brute"] = difference(brute, form).names()
-            diff[name + "_only_closed"] = difference(form, brute).names()
-    nullspace_dim = None
-    run_nullspace = (with_nullspace if with_nullspace is not None
-                     else sig.n <= ORACLE_LEG_MAX_DIM)
-    if run_nullspace:
-        nullspace_dim, basis = nullspace_centralizer_oracle(sig, s, kind)
-        # nullspace_matches_blades on masks: equal dimension, equal support
-        support = 0
-        for mv in basis:
-            for b in mv.blades():
-                support |= 1 << b
-        matches["nullspace"] = (nullspace_dim == brute.mask.bit_count()
-                                and support == brute.mask)
-        if not matches["nullspace"]:
-            spanned = Subspace(sig, support)
-            diff["nullspace_only_brute"] = difference(brute, spanned).names()
-            diff["nullspace_only_oracle"] = difference(spanned, brute).names()
+            diff[name + "_only_brute"] = Subspace(sig, brute.mask & ~mask).names()
+            diff[f"{name}_only_{side}"] = Subspace(sig, mask & ~brute.mask).names()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     main = closed_forms.get("closed_form")
     return VerifyReport(

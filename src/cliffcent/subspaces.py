@@ -366,6 +366,10 @@ def _evaluate_atom(sig: Signature, atom: Tuple) -> Subspace:
 
 
 def evaluate_spec(sig: Signature, spec: SubspaceSpec) -> Subspace:
+    if not isinstance(sig, Signature):
+        raise ValueError(f"signature must be a Signature, got {sig!r}")
+    if not isinstance(spec, SubspaceSpec):
+        raise ValueError(f"spec must be a SubspaceSpec, got {spec!r}")
     return direct_sum([_evaluate_atom(sig, atom) for atom in spec.atoms])
 
 

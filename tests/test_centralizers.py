@@ -21,6 +21,7 @@ from cliffcent.blades import (
     blade_grade,
     blade_product,
     blade_table,
+    format_blade,
     index_lists_json,
     make_signature,
 )
@@ -51,11 +52,13 @@ from cliffcent.multivector import Multivector, grade_involute
 from cliffcent.subspaces import (
     Subspace,
     direct_sum,
+    evaluate_spec,
     full_algebra,
     grade_subspace,
     intersect,
     nondeg_times_lambda,
     parity_part,
+    parse_subspace_spec,
     subspace_from_text,
 )
 
@@ -988,6 +991,126 @@ class TestVerifyCase:
                 report = verify_case(sig, "all", kind)
                 assert report.match, (sig, kind, report.diff)
                 assert set(report.matches) == {"closed_form", "nullspace"}
+
+
+class TestMalformedInput:
+    """A target that is not a spec, or a signature that is not a
+    ``Signature``, is refused with a ``ValueError`` that names it, and
+    leaves nothing behind that a valid call could trip on."""
+
+    GRADE_1 = parse_subspace_spec("grade:1")
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda sig: verify_case(sig, 5, PLAIN), "5"),
+        (lambda sig: verify_case(sig, None, HAT), "None"),
+        (lambda sig: verify_case(sig, b"grade:1", TILDE), "b'grade:1'"),
+        (lambda sig: verify_case((2, 0, 1), "grade:1", PLAIN), "(2, 0, 1)"),
+        (lambda sig: evaluate_spec(sig, "grade:1"), "'grade:1'"),
+        (lambda sig: evaluate_spec((2, 0, 1), TestMalformedInput.GRADE_1),
+         "(2, 0, 1)"),
+    ])
+    def test_raises_value_error_then_a_valid_call_works(self, call, named):
+        sig = make_signature(2, 0, 1)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call(sig)
+        assert evaluate_spec(sig, self.GRADE_1) == grade_subspace(sig, 1)
+        report = verify_case(sig, "grade:1", PLAIN)
+        assert report.match
+        assert set(report.matches) == {"closed_form", "small_grade", "nullspace"}
+
+
+def flip_one_blade(original):
+    """``_closed_forms_for_target`` plus a form named ``flipped``: brute
+    force's mask with the pseudoscalar flipped."""
+
+    def with_flipped(sig, spec, kind):
+        forms = original(sig, spec, kind)
+        brute = brute_force_centralizer(sig, evaluate_spec(sig, spec), kind)
+        forms["flipped"] = Subspace(sig, brute.mask ^ 1 << sig.full_mask)
+        return forms
+
+    return with_flipped
+
+
+def with_extra_blade(sig, dim, basis):
+    """One more basis element: the first blade outside the support."""
+    support = {b for mv in basis for b in mv.blades()}
+    extra = next(x for x in range(1 << sig.n) if x not in support)
+    return dim + 1, basis + [Multivector.basis_blade(sig, extra)]
+
+
+# Oracle outputs edited after the fact, and whether each still spans
+# brute force's blades.
+ORACLE_EDITS = {
+    "unchanged": (lambda sig, dim, basis: (dim, basis), True),
+    "dimension_plus_one": (lambda sig, dim, basis: (dim + 1, basis), False),
+    "dropped_blade": (lambda sig, dim, basis: (dim - 1, basis[:-1]), False),
+    "extra_blade": (with_extra_blade, False),
+    "duplicated_element": (
+        lambda sig, dim, basis: (dim, basis[:-1] + basis[:1]), False),
+    "empty_basis": (lambda sig, dim, basis: (0, []), False),
+}
+
+
+class TestOneComparisonLoop:
+    """Every leg, each closed form and the oracle, is matched and diffed by
+    one loop, so a new leg needs no edit to ``verify_case``, and the
+    oracle's verdict there is ``nullspace_matches_blades``'s."""
+
+    def test_an_added_form_is_named_in_the_report(self, monkeypatch):
+        monkeypatch.setattr(centralizers, "_closed_forms_for_target",
+                            flip_one_blade(centralizers._closed_forms_for_target))
+        report = verify_case(make_signature(3, 0, 0), "grade:2", PLAIN)
+        assert report.matches == {"closed_form": True, "small_grade": True,
+                                  "nondegenerate": True, "flipped": False,
+                                  "nullspace": True}
+        assert report.diff == {"flipped_only_brute": ["e[1,2,3]"],
+                               "flipped_only_closed": []}
+
+    def test_an_added_form_is_named_in_text_and_json(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(centralizers, "_closed_forms_for_target",
+                            flip_one_blade(centralizers._closed_forms_for_target))
+        argv = ["verify", "--max-dim", "2", "--targets", "grades",
+                "--kinds", "plain"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("MISMATCH Cl(1,0,0) plain grade:0 (2 blades)")
+        assert lines[at + 1] == "  flipped_only_brute: e[1]"
+        at = lines.index("MISMATCH Cl(2,0,0) plain grade:1 (1 blades)")
+        assert lines[at + 1] == "  flipped_only_closed: e[1,2]"
+        assert lines[-1] == "FAIL: 24 cases, 24 mismatches"
+        assert main(argv + ["--format", "json"]) == 2
+        records = json.loads(capsys.readouterr().out)
+        assert len(records) == 24
+        for record in records:
+            assert list(record["matches"])[-2:] == ["flipped", "nullspace"]
+            assert record["matches"]["flipped"] is False
+            assert list(record["diff"]) == ["flipped_only_brute",
+                                            "flipped_only_closed"]
+            top = format_blade(make_signature(**record["signature"]).full_mask)
+            assert (record["diff"]["flipped_only_brute"]
+                    + record["diff"]["flipped_only_closed"]) == [top]
+
+    @pytest.mark.parametrize("edit", sorted(ORACLE_EDITS))
+    @pytest.mark.parametrize("pqr, target, kind", [
+        ((3, 0, 0), "grade:2", PLAIN), ((2, 1, 1), "qt:13", HAT),
+        ((1, 0, 2), "lambda:1", PLAIN)])
+    def test_oracle_verdict_is_nullspace_matches_blades(
+            self, monkeypatch, edit, pqr, target, kind):
+        sig = make_signature(*pqr)
+        s = subspace_from_text(sig, target)
+        change, want = ORACLE_EDITS[edit]
+        original = centralizers.nullspace_centralizer_oracle
+        dim, basis = change(sig, *original(sig, s, kind))
+        brute = brute_force_centralizer(sig, s, kind)
+        assert nullspace_matches_blades(dim, basis, brute.blades) is want
+        monkeypatch.setattr(centralizers, "nullspace_centralizer_oracle",
+                            lambda sig, s, kind: change(sig, *original(sig, s, kind)))
+        report = verify_case(sig, target, kind, with_nullspace=True)
+        assert report.matches["nullspace"] is want
+        assert report.nullspace_dim == dim
+        assert ("nullspace_only_brute" in report.diff) is not want
 
 
 class TestReportJson:
