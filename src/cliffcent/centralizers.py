@@ -21,9 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .blades import (
     MAX_DIM,
@@ -56,6 +54,9 @@ from .subspaces import (
     parse_subspace_spec,
 )
 
+if TYPE_CHECKING:  # numpy loads with the first route, as in blades.blade_table
+    import numpy as np
+
 
 class CentralizerKind(enum.Enum):
     PLAIN = "plain"
@@ -71,31 +72,31 @@ def _check_kind(kind) -> None:
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
-# The 2x2 kernel K[x_i, v_i] of one generator, nondegenerate then degenerate.
-_GENERATOR_KERNELS = (np.array([[1, 1], [1, -1]]), np.array([[1, 1], [1, 0]]))
 _CHUNK = 3  # generators transformed per matmul
-
-
-def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
-    """The Kronecker product of the kernels of ``width`` consecutive
-    generators, the top ``degenerate`` degenerate.  Every factor is
-    symmetric, so the product is too, and it needs no transpose."""
-    out = np.ones((1, 1), dtype=np.int64)
-    for i in range(width):
-        out = np.kron(out, _GENERATOR_KERNELS[i < degenerate])
-    return out
 
 
 # The degenerate generators are the trailing ones, so the kernel of a run
 # of generators depends only on its width and how many of them are degenerate.
-_KERNELS = {(width, degenerate): _chunk_kernel(width, degenerate)
-            for width in range(1, _CHUNK + 1) for degenerate in range(width + 1)}
+@functools.lru_cache(maxsize=None)
+def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
+    """The Kronecker product of the 2x2 kernels K[x_i, v_i] of ``width``
+    consecutive generators: [[1, 1], [1, -1]] for a nondegenerate one,
+    [[1, 1], [1, 0]] for each of the top ``degenerate`` degenerate ones.
+    Each is symmetric, so the product is too and needs no transpose."""
+    import numpy as np
+
+    out = np.ones((1, 1), dtype=np.int64)
+    for i in range(width):
+        out = np.kron(out, [[1, 1], [1, 0]] if i < degenerate else [[1, 1], [1, -1]])
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _parities(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """For the blades b < 2^n: the 0/1 rows [|b| even, |b| odd], and
     (-1)^|b|, both as int64."""
+    import numpy as np
+
     odd = (np.bitwise_count(np.arange(1 << n)) & 1).astype(np.int64)
     return np.stack([1 - odd, odd]), 1 - 2 * odd
 
@@ -109,7 +110,7 @@ def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
     while done < sig.n:
         width = min(_CHUNK, sig.n - done)
         degenerate = min(width, max(0, done + width - sig.p - sig.q))
-        rows = np.matmul(rows.reshape(count, -1, 1 << width), _KERNELS[width, degenerate])
+        rows = rows.reshape(count, -1, 1 << width) @ _chunk_kernel(width, degenerate)
         rows = rows.transpose(0, 2, 1)
         done += width
     return rows.reshape(count, -1)
@@ -125,6 +126,8 @@ def _brute_masks(n: int, r: int, mask: int) -> Tuple[int, int, int]:
     every Cl(p,q,r) with p + q = n - r, in ``_SIDE_KINDS`` order, from one
     transform of its even and its odd blades.  No metric sign is read, so
     the transform runs at the class representative Cl(n - r, 0, r)."""
+    import numpy as np
+
     sig = Signature(n - r, 0, r)
     parity_rows, signs = _parities(n)
     even, odd = _transform(sig, _unpack(mask, 1 << n) * parity_rows)
@@ -717,6 +720,8 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
     side) that agrees when it is consistent and has brute force's mask; a
     mismatch lists ``<name>_only_brute`` and ``<name>_only_<side>``."""
     spec = _parsed(target) if isinstance(target, str) else target
+    if not isinstance(sig, Signature) or not isinstance(spec, SubspaceSpec):
+        evaluate_spec(sig, spec)  # refuses it, naming the value, before the cache
     started = time.perf_counter()
     s = _target(sig, spec)
     brute = brute_force_centralizer(sig, s, kind)

@@ -479,8 +479,11 @@ class TestBruteForceTransformCache:
 
     def test_every_chunk_kernel_is_symmetric(self):
         # widths 1..3, each with 0..width degenerate generators
-        assert len(centralizers._KERNELS) == 9
-        for key, kernel in centralizers._KERNELS.items():
+        keys = [(width, degenerate) for width in range(1, centralizers._CHUNK + 1)
+                for degenerate in range(width + 1)]
+        assert len(keys) == 9
+        for key in keys:
+            kernel = centralizers._chunk_kernel(*key)
             assert np.array_equal(kernel, kernel.T), key
 
     def test_one_transform_per_distinct_target(self, monkeypatch):
@@ -1005,6 +1008,9 @@ class TestMalformedInput:
         (lambda sig: verify_case(sig, None, HAT), "None"),
         (lambda sig: verify_case(sig, b"grade:1", TILDE), "b'grade:1'"),
         (lambda sig: verify_case((2, 0, 1), "grade:1", PLAIN), "(2, 0, 1)"),
+        (lambda sig: verify_case(sig, ["grade:1"], PLAIN), "['grade:1']"),
+        (lambda sig: verify_case(sig, {"grade:1"}, HAT), "{'grade:1'}"),
+        (lambda sig: verify_case([2, 0, 1], "grade:1", TILDE), "[2, 0, 1]"),
         (lambda sig: evaluate_spec(sig, "grade:1"), "'grade:1'"),
         (lambda sig: evaluate_spec((2, 0, 1), TestMalformedInput.GRADE_1),
          "(2, 0, 1)"),

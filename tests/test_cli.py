@@ -530,6 +530,45 @@ class TestParserBehaviour:
         assert proc.stderr == b""
 
 
+# Run in a fresh process: each step's command, exit code and whether numpy
+# is loaded after it.  ``-m cliffcent --help`` runs ``__main__.py`` too.
+NUMPY_STEPS = """
+import contextlib, io, json, runpy, sys
+import cliffcent, cliffcent.cli
+steps = [["import cliffcent, cliffcent.cli", None, "numpy" in sys.modules]]
+for argv in (["-m", "cliffcent", "--help"], ["frobnicate"],
+             ["center", "--signature", "17,0,0"], ["center", "--signature", "2,0,1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if argv[0] == "-m":
+            sys.argv = ["cliffcent", *argv[2:]]
+            try:
+                runpy.run_module("cliffcent", run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+        else:
+            code = cliffcent.cli.main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_with_the_first_route():
+    """Importing the package, ``--help``, a usage error and an input outside
+    the bound load no numpy; the first route run loads it."""
+    package_parent = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_STEPS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import cliffcent, cliffcent.cli", None, False],
+        ["-m cliffcent --help", 0, False],
+        ["frobnicate", 1, False],
+        ["center --signature 17,0,0", 1, False],
+        ["center --signature 2,0,1", 0, True],
+    ]
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process and reads
     CLIFFCENT_MAX_DIM each time it parses a command line."""

@@ -35,6 +35,7 @@ OWN = {
     "brute force": {
         "centralizers.brute_force_centralizer", "centralizers._brute_masks",
         "centralizers._parities", "centralizers._transform",
+        "centralizers._chunk_kernel",
     },
     "oracle": {
         "centralizers.nullspace_centralizer_oracle", "centralizers._oracle_rows",
