@@ -47,7 +47,6 @@ from .subspaces import (
     lambda_even,
     lambda_full,
     lambda_range,
-    lambda_subspace,
     nondeg_times_lambda,
     parity_part,
     parity_subspace,
@@ -289,12 +288,82 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
     return Subspace(sig, acc)
 
 
+# The paper's literal tables, as term data.  A term is Lambda^(0) (_L0),
+# all of Lambda (_L), Cl^n (_TOP), or a triple (k, a, b) for
+# Cl^k_{p,q,0} Lambda^[n-a, n-b], its bounds clamped to [0, r].  An entry
+# is (terms for even n, terms for odd n).  No entry needs a case of its
+# own for r = n: then p + q = 0, so every term with k >= 1 is zero, and
+# Cl^n lies inside Lambda, where _assemble allows the repeat.
+_L0, _L, _TOP = "Lambda^(0)", "Lambda", "Cl^n"
+
+# The entries several tables share; "* 2" writes one list for both parities.
+_Z = ((_L0,), (_L0, _TOP))  # the center
+_Z2 = ((_L, _TOP),) * 2
+_Z3 = ((_L0, (0, 1, 1), (1, 2, 0), (2, 2, 2)),
+       (_L0, (0, 2, 2), (1, 3, 2), (2, 3, 3), _TOP))
+_ZH1 = ((_L,),) * 2
+_ZH3 = ((_L, (1, 2, 0), (2, 3, 0)),) * 2
+
+# The paper's table of the plain and grade-twisted centralizers of Cl^m.
+_SMALL_GRADE = {
+    ("plain", 1): _Z,
+    ("plain", 2): _Z2,
+    ("plain", 3): _Z3,
+    ("plain", 4): ((_L, (1, 3, 2), (2, 4, 3), _TOP),) * 2,
+    ("hat", 1): _ZH1,
+    ("hat", 2): ((_L0, (0, 1, 1), (1, 2, 2), _TOP),
+                 (_L0, (0, 0, 0), (1, 1, 1))),
+    ("hat", 3): _ZH3,
+    ("hat", 4): ((_L0, (0, 3, 3), (0, 1, 1), (1, 4, 2), (2, 4, 3), (3, 4, 4), _TOP),
+                 (_L0, (0, 2, 2), (0, 0, 0), (1, 3, 0), (2, 3, 0), (3, 3, 3))),
+}
+
+# The paper's table of the centralizers of quaternion-type pairs.
+_QT_PAIR_TABLE = {
+    ("plain", (0, 1)): _Z,
+    ("plain", (0, 2)): _Z2,
+    ("plain", (0, 3)): _Z3,
+    ("plain", (1, 2)): _Z,
+    ("plain", (1, 3)): _Z,
+    ("plain", (2, 3)): ((_L0, (0, 1, 1), (1, 1, 1), (2, 2, 2)),
+                        (_L0, (0, 2, 2), _TOP)),
+    ("hat", (0, 1)): ((_L0,),) * 2,
+    ("hat", (0, 2)): ((_L0, _TOP), (_L0,)),
+    ("hat", (0, 3)): ((_L0, (1, 1, 1), (2, 2, 2)),
+                      (_L0, (1, 2, 2), (2, 3, 3))),
+    ("hat", (1, 2)): ((_L0, (0, 1, 1)), (_L0, (0, 0, 0))),
+    ("hat", (1, 3)): _ZH1,
+    ("hat", (2, 3)): ((_L0, (0, 1, 1), (1, 2, 0), (2, 2, 2)),
+                      (_L0, (0, 0, 0), (1, 1, 1))),
+    ("tilde", (0, 1)): _ZH1,
+    ("tilde", (0, 2)): _Z2,
+    ("tilde", (0, 3)): _ZH3,
+    ("tilde", (1, 2)): _ZH1,
+    ("tilde", (1, 3)): _ZH1,
+    ("tilde", (2, 3)): ((_L, (1, 1, 1), (2, 2, 2)),) * 2,
+}
+
+
+def _table_form(sig: Signature, entry) -> Subspace:
+    """The union of a table entry's terms for the parity of n."""
+    n, parts = sig.n, []
+    for term in entry[n & 1]:
+        if term == _L0:
+            parts.append(lambda_even(sig))
+        elif term == _L:
+            parts.append(lambda_full(sig))
+        elif term == _TOP:
+            parts.append(grade_subspace(sig, n))
+        else:
+            k, a, b = term
+            parts.append(nondeg_times_lambda(sig, k, n - a, n - b))
+    return _assemble(sig, parts)
+
+
 def center_closed_form(sig: Signature) -> Subspace:
     """Center of the algebra: even degenerate exterior part, plus the
     pseudoscalar line when n is odd."""
-    if sig.n & 1:
-        return direct_sum([lambda_even(sig), grade_subspace(sig, sig.n)])
-    return lambda_even(sig)
+    return _table_form(sig, _Z)
 
 
 def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
@@ -372,79 +441,7 @@ def closed_form_small_grade(sig: Signature, m: int,
         raise ValueError(f"small-grade forms cover m in 1..4, got {m}")
     if kind not in (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED):
         raise ValueError("small-grade tables exist for plain and hat kinds only")
-    n, r = sig.n, sig.r
-    n_odd = bool(n & 1)
-
-    if kind is CentralizerKind.PLAIN:
-        if m == 1:
-            return center_closed_form(sig)
-        if m == 2:
-            if r != n:
-                return _assemble(sig, [lambda_full(sig), grade_subspace(sig, n)])
-            return lambda_full(sig)
-        if m == 3:
-            if n_odd:
-                parts = [lambda_even(sig),
-                         lambda_subspace(sig, n - 2),
-                         nondeg_times_lambda(sig, 1, n - 3, n - 2),
-                         nondeg_times_lambda(sig, 2, n - 3, n - 3),
-                         grade_subspace(sig, n)]
-            else:
-                parts = [lambda_even(sig),
-                         lambda_subspace(sig, n - 1),
-                         nondeg_times_lambda(sig, 1, n - 2, r),
-                         nondeg_times_lambda(sig, 2, n - 2, n - 2)]
-            return _assemble(sig, parts)
-        # m == 4
-        if r != n:
-            parts = [lambda_full(sig),
-                     nondeg_times_lambda(sig, 1, n - 3, n - 2),
-                     nondeg_times_lambda(sig, 2, n - 4, n - 3),
-                     grade_subspace(sig, n)]
-            return _assemble(sig, parts)
-        return lambda_full(sig)
-
-    if m == 1:
-        return lambda_full(sig)
-    if m == 2:
-        if n_odd:
-            parts = [lambda_even(sig),
-                     lambda_subspace(sig, n),
-                     nondeg_times_lambda(sig, 1, n - 1, n - 1)]
-        elif r != n:
-            parts = [lambda_even(sig),
-                     lambda_subspace(sig, n - 1),
-                     nondeg_times_lambda(sig, 1, n - 2, n - 2),
-                     grade_subspace(sig, n)]
-        else:
-            parts = [lambda_even(sig), lambda_subspace(sig, n - 1)]
-        return _assemble(sig, parts)
-    if m == 3:
-        parts = [lambda_full(sig),
-                 nondeg_times_lambda(sig, 1, n - 2, r),
-                 nondeg_times_lambda(sig, 2, n - 3, r)]
-        return _assemble(sig, parts)
-    # m == 4
-    if n_odd:
-        parts = [lambda_even(sig),
-                 lambda_subspace(sig, n - 2),
-                 lambda_subspace(sig, n),
-                 nondeg_times_lambda(sig, 1, n - 3, r),
-                 nondeg_times_lambda(sig, 2, n - 3, r),
-                 nondeg_times_lambda(sig, 3, n - 3, n - 3)]
-    elif r != n:
-        parts = [lambda_even(sig),
-                 lambda_subspace(sig, n - 3),
-                 lambda_subspace(sig, n - 1),
-                 nondeg_times_lambda(sig, 1, n - 4, n - 2),
-                 nondeg_times_lambda(sig, 2, n - 4, n - 3),
-                 nondeg_times_lambda(sig, 3, n - 4, n - 4),
-                 grade_subspace(sig, n)]
-    else:
-        parts = [lambda_even(sig),
-                 lambda_subspace(sig, n - 3),
-                 lambda_subspace(sig, n - 1)]
-    return _assemble(sig, parts)
+    return _table_form(sig, _SMALL_GRADE[kind.value, m])
 
 
 def closed_form_nondegenerate(sig: Signature, m: int,
@@ -456,27 +453,24 @@ def closed_form_nondegenerate(sig: Signature, m: int,
     n = sig.n
     if m < 0 or m > n:
         return full_algebra(sig)
-    whole = full_algebra(sig)
-    even = parity_subspace(sig, 0)
-    scalars = grade_subspace(sig, 0)
-    scalars_plus_top = direct_sum([scalars, grade_subspace(sig, n)])
     m_even, n_even = m % 2 == 0, n % 2 == 0
     if kind is CentralizerKind.PLAIN:
         if m == 0 or (m == n and not m_even):
-            return whole
+            return full_algebra(sig)
+        if m == n:
+            return parity_subspace(sig, 0)
+        scalars_only = not m_even and n_even
+    else:
         if m == n and m_even:
-            return even
-        if not m_even and n_even:
-            return scalars
-        return scalars_plus_top
-    if m == n and m_even:
-        return whole
-    if m == 0 or (m == n and not m_even):
-        return even
-    if not m_even or not n_even:
+            return full_algebra(sig)
+        if m == 0 or m == n:
+            return parity_subspace(sig, 0)
         # m odd with m != n, or m even nonzero in odd dimension
+        scalars_only = not m_even or not n_even
+    scalars = grade_subspace(sig, 0)
+    if scalars_only:
         return scalars
-    return scalars_plus_top
+    return direct_sum([scalars, grade_subspace(sig, n)])
 
 
 def closed_form_qt(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
@@ -497,74 +491,7 @@ _QT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
                       kind: CentralizerKind) -> Subspace:
     """The tabulated right-hand side for a quaternion-type pair."""
-    n, r = sig.n, sig.r
-    n_odd = bool(n & 1)
-    if kind is CentralizerKind.PLAIN:
-        if pair in ((0, 1), (1, 2), (1, 3)):
-            return center_closed_form(sig)
-        if pair == (0, 2):
-            return closed_form_small_grade(sig, 2, CentralizerKind.PLAIN)
-        if pair == (0, 3):
-            return closed_form_small_grade(sig, 3, CentralizerKind.PLAIN)
-        # (2, 3)
-        if n_odd:
-            parts = [lambda_even(sig), lambda_subspace(sig, n - 2),
-                     grade_subspace(sig, n)]
-        else:
-            parts = [lambda_even(sig), lambda_subspace(sig, n - 1),
-                     nondeg_times_lambda(sig, 1, n - 1, n - 1),
-                     nondeg_times_lambda(sig, 2, n - 2, n - 2)]
-        return _assemble(sig, parts)
-    if kind is CentralizerKind.GRADE_TWISTED:
-        if pair == (1, 3):
-            return lambda_full(sig)
-        if pair == (0, 1):
-            return lambda_even(sig)
-        if pair == (1, 2):
-            extra = lambda_subspace(sig, n if n_odd else n - 1)
-            return _assemble(sig, [lambda_even(sig), extra])
-        if pair == (2, 3):
-            if n_odd:
-                parts = [lambda_even(sig), lambda_subspace(sig, n),
-                         nondeg_times_lambda(sig, 1, n - 1, n - 1)]
-            else:
-                parts = [lambda_even(sig), lambda_subspace(sig, n - 1),
-                         nondeg_times_lambda(sig, 1, n - 2, r),
-                         nondeg_times_lambda(sig, 2, n - 2, n - 2)]
-            return _assemble(sig, parts)
-        if pair == (0, 2):
-            if not n_odd and r != n:
-                return _assemble(sig, [lambda_even(sig), grade_subspace(sig, n)])
-            return lambda_even(sig)
-        # (0, 3)
-        if n_odd:
-            parts = [lambda_even(sig),
-                     nondeg_times_lambda(sig, 1, n - 2, n - 2),
-                     nondeg_times_lambda(sig, 2, n - 3, n - 3)]
-        else:
-            parts = [lambda_even(sig),
-                     nondeg_times_lambda(sig, 1, n - 1, n - 1),
-                     nondeg_times_lambda(sig, 2, n - 2, n - 2)]
-        return _assemble(sig, parts)
-    # mix-twisted
-    if pair == (0, 2):
-        return closed_form_small_grade(sig, 2, CentralizerKind.PLAIN)
-    if pair in ((0, 1), (1, 2), (1, 3)):
-        return lambda_full(sig)
-    if pair == (0, 3):
-        if r != n:
-            parts = [lambda_full(sig),
-                     nondeg_times_lambda(sig, 1, n - 2, r),
-                     nondeg_times_lambda(sig, 2, n - 3, r)]
-            return _assemble(sig, parts)
-        return lambda_full(sig)
-    # (2, 3)
-    if r != n:
-        parts = [lambda_full(sig),
-                 nondeg_times_lambda(sig, 1, n - 1, n - 1),
-                 nondeg_times_lambda(sig, 2, n - 2, n - 2)]
-        return _assemble(sig, parts)
-    return lambda_full(sig)
+    return _table_form(sig, _QT_PAIR_TABLE[kind.value, pair])
 
 
 def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],

@@ -289,6 +289,16 @@ class SubspaceSpec:
     atoms: Tuple[Tuple, ...]
     text: str
 
+    def __post_init__(self):
+        # list atoms would make the spec unhashable, and a non-str text
+        # would make str(spec) raise
+        if not (isinstance(self.atoms, tuple)
+                and all(isinstance(atom, tuple) for atom in self.atoms)):
+            raise ValueError(
+                f"spec atoms must be a tuple of tuples, got {self.atoms!r}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"spec text must be a str, got {self.text!r}")
+
     def __str__(self) -> str:
         return self.text
 

@@ -51,6 +51,7 @@ from cliffcent.cli import main
 from cliffcent.multivector import Multivector, grade_involute
 from cliffcent.subspaces import (
     Subspace,
+    SubspaceSpec,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -723,6 +724,13 @@ class TestClosedFormGrade:
                 build()
 
 
+# Every signature with n <= 10, and eight near the bound n <= 16 that run
+# both parity rows of the literal tables.
+TABLE_SIGNATURES = all_signatures(10) + [make_signature(*pqr) for pqr in (
+    (0, 0, 16), (8, 4, 4), (16, 0, 0), (1, 0, 15),
+    (7, 0, 8), (0, 0, 15), (15, 0, 0), (1, 0, 14))]
+
+
 class TestSmallGradeTable:
     def test_known_value(self):
         sig = make_signature(1, 0, 2)
@@ -740,7 +748,7 @@ class TestSmallGradeTable:
 
     @pytest.mark.parametrize("kind", [PLAIN, HAT])
     def test_matches_general_formula(self, kind):
-        for sig in all_signatures(5):
+        for sig in TABLE_SIGNATURES:
             for m in range(1, min(4, sig.n) + 1):
                 got = closed_form_small_grade(sig, m, kind)
                 want = closed_form_grade(sig, m, kind)
@@ -795,12 +803,19 @@ class TestQuaternionTypeForms:
 
     @pytest.mark.parametrize("kind", list(CentralizerKind))
     def test_matches_brute_force_small(self, kind):
+        """Each type's form equals brute force for n <= 4, and each pair's
+        table equals the intersection of its two types' forms."""
         for sig in all_signatures(4):
             for m in range(4):
                 got = closed_form_qt(sig, m, kind)
                 want = brute_force_centralizer(
                     sig, subspace_from_text(sig, f"qt:{m}"), kind)
                 assert got == want, (sig, m, kind)
+        for sig in TABLE_SIGNATURES:
+            for k, m in centralizers._QT_PAIRS:
+                want = intersect(closed_form_qt(sig, k, kind),
+                                 closed_form_qt(sig, m, kind))
+                assert closed_form_qt_pair(sig, (k, m), kind) == want, (sig, k, m)
 
 
 class TestQuaternionTypePairs:
@@ -1014,6 +1029,12 @@ class TestMalformedInput:
         (lambda sig: evaluate_spec(sig, "grade:1"), "'grade:1'"),
         (lambda sig: evaluate_spec((2, 0, 1), TestMalformedInput.GRADE_1),
          "(2, 0, 1)"),
+        (lambda sig: verify_case(sig, SubspaceSpec([("grade", 1)], "grade:1"),
+                                 PLAIN), "[('grade', 1)]"),
+        (lambda sig: verify_case(sig, SubspaceSpec((("grade", 1),), 5), HAT),
+         "5"),
+        (lambda sig: verify_case(sig, SubspaceSpec((["grade", 1],), "grade:1"),
+                                 TILDE), "(['grade', 1],)"),
     ])
     def test_raises_value_error_then_a_valid_call_works(self, call, named):
         sig = make_signature(2, 0, 1)

@@ -52,6 +52,7 @@ OWN = {
         "centralizers.closed_form_small_grade",
         "centralizers.closed_form_nondegenerate", "centralizers.closed_form_qt",
         "centralizers.closed_form_qt_pair", "centralizers._explicit_qt_pair",
+        "centralizers._table_form",
         "subspaces._grade_mask", "subspaces._grades", "subspaces._parity_mask",
         "subspaces.direct_sum", "subspaces.intersect", "subspaces.difference",
         "subspaces.full_algebra", "subspaces.grade_range",
