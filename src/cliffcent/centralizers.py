@@ -38,7 +38,6 @@ from .subspaces import (
     SubspaceSpec,
     _pack,
     _unpack,
-    difference,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -67,6 +66,12 @@ def _check_kind(kind) -> None:
     """Refuse anything but a ``CentralizerKind``, such as its value string."""
     if not isinstance(kind, CentralizerKind):
         raise ValueError(f"kind must be a CentralizerKind, got {kind!r}")
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse anything but an int, such as a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 # -- route one: blade-by-blade brute force --------------------------------------
@@ -275,7 +280,7 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
 
     The grade-n term of a formula can coincide with the top slice of a
     product term; any other duplicate blade means the formula was assembled
-    wrongly, so it raises.
+    wrongly, an internal error and not bad input: ``RuntimeError``.
     """
     others = ~(1 << sig.full_mask)  # every bit but the pseudoscalar's
     acc = 0
@@ -283,7 +288,7 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
         overlap = acc & part.mask & others
         if overlap:
             bad = format_blade((overlap & -overlap).bit_length() - 1)
-            raise ValueError(f"closed-form terms overlap at {bad}")
+            raise RuntimeError(f"closed-form terms overlap at {bad}")
         acc |= part.mask
     return Subspace(sig, acc)
 
@@ -399,9 +404,10 @@ def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
     """The kind to use on a target whose blades all have this parity.
 
     Against an even V the mix-twisted condition is the plain one, and
-    against an odd V it is the grade-twisted one.
+    against an odd V it is the grade-twisted one.  Checks both arguments.
     """
     _check_kind(kind)
+    _check_int("grade", parity)
     if kind is not CentralizerKind.MIX_TWISTED:
         return kind
     return CentralizerKind.GRADE_TWISTED if parity & 1 else CentralizerKind.PLAIN
@@ -437,6 +443,7 @@ def _closed_form_grade(n: int, r: int, m: int, kind: CentralizerKind) -> int:
 def closed_form_small_grade(sig: Signature, m: int,
                             kind: CentralizerKind) -> Subspace:
     """Literal small-grade case tables (m in 1..4, plain or grade-twisted)."""
+    _check_int("grade", m)
     if m not in (1, 2, 3, 4):
         raise ValueError(f"small-grade forms cover m in 1..4, got {m}")
     if kind not in (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED):
@@ -476,7 +483,7 @@ def closed_form_nondegenerate(sig: Signature, m: int,
 def closed_form_qt(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
     """Centralizer of the quaternion-type-m subspace, reduced to grade forms."""
     if m not in (0, 1, 2, 3):
-        raise ValueError(f"quaternion type must be in 0..3, got {m}")
+        raise ValueError(f"quaternion type must be in 0..3, got {m!r}")
     kind = _untwisted(kind, m)
     if kind is CentralizerKind.PLAIN:
         return closed_form_grade(sig, 4 if m == 0 else m, kind)
@@ -496,28 +503,15 @@ def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
 
 def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],
                         kind: CentralizerKind) -> Subspace:
-    """Centralizer of a direct sum of two quaternion-type subspaces.
-
-    Computed as the defining intersection and, independently, as the
-    tabulated explicit form; the two must agree or something in the closed
-    forms is broken, so a disagreement raises instead of returning.
-    """
+    """Centralizer of qt:k + qt:m: the intersection of the two types' forms."""
+    for m in pair:
+        _check_int("quaternion type", m)
     ordered = tuple(sorted(pair))
     if ordered not in _QT_PAIRS:
         raise ValueError(f"quaternion-type pair must be two distinct types "
                          f"from 0..3, got {pair}")
     k, m = ordered
-    via_intersection = intersect(closed_form_qt(sig, k, kind),
-                                 closed_form_qt(sig, m, kind))
-    via_table = _explicit_qt_pair(sig, ordered, kind)
-    if via_intersection.mask != via_table.mask:
-        only_int = difference(via_intersection, via_table).names()
-        only_tab = difference(via_table, via_intersection).names()
-        raise RuntimeError(
-            f"{sig} qt pair {ordered} ({kind.value}): intersection and "
-            f"explicit form disagree; only-intersection={only_int}, "
-            f"only-explicit={only_tab}")
-    return via_table
+    return intersect(closed_form_qt(sig, k, kind), closed_form_qt(sig, m, kind))
 
 
 # -- verification engine ---------------------------------------------------------
@@ -615,6 +609,9 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
             forms["small_grade"] = closed_form_small_grade(sig, m, kind)
         if sig.r == 0:
             forms["nondegenerate"] = closed_form_nondegenerate(sig, m, kind)
+    elif len(spec.atoms) == 1 and spec.atoms[0][0] == "qt_pair":
+        pair = tuple(sorted(spec.atoms[0][1:]))
+        forms["qt_pair"] = _explicit_qt_pair(sig, pair, kind)
     return forms
 
 
@@ -717,6 +714,7 @@ def sweep_verify(max_n: int,
     ``max_n`` must lie in 1..SWEEP_MAX_DIM.  The nullspace leg runs for
     the signatures with n <= ORACLE_LEG_MAX_DIM.
     """
+    _check_int("max_n", max_n)
     if not 1 <= max_n <= SWEEP_MAX_DIM:
         raise ValueError(
             f"max_n must be in 1..{SWEEP_MAX_DIM}, got {max_n}")

@@ -124,15 +124,16 @@ def _json_object(head: dict, key: str, text: str, match: bool) -> str:
 
 
 def _print_query(fmt: str, header: str, report: VerifyReport) -> int:
-    """One centralizer query: its brute-force blades and the closed form's
-    verdict.  ``center`` is the plain centralizer of the whole algebra."""
+    """One centralizer query: its brute-force blades, the closed forms'
+    verdict and any diff.  ``center`` is the plain centralizer of all."""
     if fmt == "json":
         sig = report.signature
-        print(_json_object({
-            "signature": {"p": sig.p, "q": sig.q, "r": sig.r},
-            "kind": report.kind.value,
-            "subspace": report.target,
-        }, "blades", index_lists_json(report.brute_blades), report.match))
+        head = {"signature": {"p": sig.p, "q": sig.q, "r": sig.r},
+                "kind": report.kind.value, "subspace": report.target}
+        if not report.match:
+            head["diff"] = report.diff
+        print(_json_object(head, "blades", index_lists_json(report.brute_blades),
+                           report.match))
     else:
         print(header)
         print(", ".join(map(format_blade, report.brute_blades)) or "{0}")

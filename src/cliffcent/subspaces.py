@@ -266,13 +266,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.signature, a.mask & b.mask)
 
 
-def difference(a: Subspace, b: Subspace) -> Subspace:
-    """The blades of A that are not blades of B."""
-    if a.signature != b.signature:
-        raise ValueError("signature mismatch in difference")
-    return Subspace(a.signature, a.mask & ~b.mask)
-
-
 # -- the textual spec grammar ---------------------------------------------------
 #
 #   atom  := "grade:" INT | "grade:" INT ".." INT | "lambda:" INT

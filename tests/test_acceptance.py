@@ -23,6 +23,7 @@ from cliffcent.blades import (
 )
 from cliffcent.centralizers import (
     CentralizerKind,
+    _explicit_qt_pair,
     all_signatures,
     brute_force_centralizer,
     closed_form_grade,
@@ -125,17 +126,18 @@ def test_criterion_3_quaternion_type_suite():
                 cases += 1
             for k, m in QT_PAIRS:
                 target = subspace_from_text(sig, f"qt:{k}{m}")
-                # Raises internally if the defining intersection and the
-                # tabulated explicit form ever disagree.
+                # the defining intersection, and the paper's table of pairs
                 formula = closed_form_qt_pair(sig, (k, m), kind)
+                table = _explicit_qt_pair(sig, (k, m), kind)
                 brute = brute_force_centralizer(sig, target, kind)
                 assert formula.blades == brute.blades, (sig, (k, m), kind)
+                assert table.blades == brute.blades, (sig, (k, m), kind)
                 cases += 1
     elapsed = time.perf_counter() - started
     assert cases == 119 * 30
     print(f"\nPASS criterion 3: all four quaternion-type and six type-pair "
-          f"closed forms equal brute force for n<=7, all kinds, and the "
-          f"internal intersection-vs-table cross-check never fired "
+          f"closed forms and the pair table equal brute force for n<=7, "
+          f"all kinds "
           f"({cases} cases, {elapsed:.1f}s)")
 
 

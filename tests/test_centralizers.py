@@ -297,7 +297,7 @@ class TestBruteForceLargeAlgebras:
         # qt:12 spans half of the 65,536 blades
         report = verify_case(make_signature(*pqr), "qt:12", kind,
                              with_nullspace=False)
-        assert report.matches == {"closed_form": True}
+        assert report.matches == {"closed_form": True, "qt_pair": True}
         assert report.diff == {}
 
 
@@ -815,7 +815,8 @@ class TestQuaternionTypeForms:
             for k, m in centralizers._QT_PAIRS:
                 want = intersect(closed_form_qt(sig, k, kind),
                                  closed_form_qt(sig, m, kind))
-                assert closed_form_qt_pair(sig, (k, m), kind) == want, (sig, k, m)
+                assert centralizers._explicit_qt_pair(sig, (k, m), kind) == want, \
+                    (sig, k, m)
 
 
 class TestQuaternionTypePairs:
@@ -837,16 +838,32 @@ class TestQuaternionTypePairs:
         got = closed_form_qt_pair(sig, (0, 2), HAT)
         assert got == parity_part(closed_form_qt(sig, 2, PLAIN), 0)
 
-    def test_disagreement_lists_blades_in_global_order(self, monkeypatch):
-        sig = make_signature(3, 0, 0)  # the intersection is {e[], e[1,2,3]}
+    @staticmethod
+    def patch_wrong_table(monkeypatch):
+        """Brute force gives {e[], e[1,2,3]} for qt:13 of Cl(3,0,0)."""
         monkeypatch.setattr(centralizers, "_explicit_qt_pair",
                             lambda sig, pair, kind: Subspace.from_blades(sig, blades(
                                 sig, (1, 3), (1, 2), (3,), (2,))))
-        with pytest.raises(RuntimeError) as info:
-            closed_form_qt_pair(sig, (1, 3), PLAIN)
-        assert str(info.value).endswith(
-            "only-intersection=['e[]', 'e[1,2,3]'], "
-            "only-explicit=['e[2]', 'e[3]', 'e[1,2]', 'e[1,3]']")
+
+    def test_disagreement_lists_blades_in_global_order(self, capsys, monkeypatch):
+        self.patch_wrong_table(monkeypatch)
+        assert main(["centralizer", "--signature", "3,0,0",
+                     "--subspace", "qt:13", "--kind", "plain"]) == 2
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "closed form: MISMATCH",
+            "  qt_pair_only_brute: e[], e[1,2,3]",
+            "  qt_pair_only_closed: e[2], e[3], e[1,2], e[1,3]"]
+
+    def test_disagreement_is_named_in_json(self, capsys, monkeypatch):
+        self.patch_wrong_table(monkeypatch)
+        assert main(["centralizer", "--signature", "3,0,0", "--subspace",
+                     "qt:13", "--kind", "plain", "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["match"] is False
+        assert payload["diff"] == {
+            "qt_pair_only_brute": ["e[]", "e[1,2,3]"],
+            "qt_pair_only_closed": ["e[2]", "e[3]", "e[1,2]", "e[1,3]"]}
+        assert payload["blades"] == [[], [1, 2, 3]]
 
     def test_pair_order_is_normalized(self):
         sig = make_signature(2, 0, 0)
@@ -884,7 +901,7 @@ class TestAssembleAudit:
 
     def test_rejects_other_overlap(self):
         sig = make_signature(2, 0, 0)
-        with pytest.raises(ValueError, match="e\\["):
+        with pytest.raises(RuntimeError, match="e\\["):
             _assemble(sig, [grade_subspace(sig, 1), full_algebra(sig)])
 
 
@@ -1012,9 +1029,10 @@ class TestVerifyCase:
 
 
 class TestMalformedInput:
-    """A target that is not a spec, or a signature that is not a
-    ``Signature``, is refused with a ``ValueError`` that names it, and
-    leaves nothing behind that a valid call could trip on."""
+    """A target that is not a spec, a signature that is not a
+    ``Signature``, or a grade, type or bound that is not an int, is refused
+    with a ``ValueError`` that names it, and leaves nothing behind that a
+    valid call could trip on."""
 
     GRADE_1 = parse_subspace_spec("grade:1")
 
@@ -1035,6 +1053,14 @@ class TestMalformedInput:
          "5"),
         (lambda sig: verify_case(sig, SubspaceSpec((["grade", 1],), "grade:1"),
                                  TILDE), "(['grade', 1],)"),
+        (lambda sig: closed_form_grade(sig, 1.0, PLAIN), "1.0"),
+        (lambda sig: closed_form_small_grade(sig, 2.0, HAT), "2.0"),
+        (lambda sig: closed_form_nondegenerate(make_signature(2, 0, 0), 1.5,
+                                               PLAIN), "1.5"),
+        (lambda sig: closed_form_qt(sig, True, TILDE), "True"),
+        (lambda sig: closed_form_qt(sig, "1", PLAIN), "'1'"),
+        (lambda sig: closed_form_qt_pair(sig, (1, "3"), PLAIN), "'3'"),
+        (lambda sig: sweep_verify(True), "True"),
     ])
     def test_raises_value_error_then_a_valid_call_works(self, call, named):
         sig = make_signature(2, 0, 1)

@@ -8,7 +8,12 @@ import sys
 import pytest
 
 from cliffcent import centralizers, cli
-from cliffcent.blades import blade_from_indices, index_lists, make_signature
+from cliffcent.blades import (
+    blade_from_indices,
+    format_blade,
+    index_lists,
+    make_signature,
+)
 from cliffcent.centralizers import (
     CentralizerKind,
     brute_force_centralizer,
@@ -22,7 +27,12 @@ from cliffcent.cli import (
     build_parser,
     main,
 )
-from cliffcent.subspaces import full_algebra, parse_subspace_spec, subspace_from_text
+from cliffcent.subspaces import (
+    Subspace,
+    full_algebra,
+    parse_subspace_spec,
+    subspace_from_text,
+)
 
 
 def run(capsys, *argv):
@@ -105,13 +115,19 @@ class TestCentralizerCommand:
         assert err == "cliffcent: error: bad grade '1_0' at position 0\n"
 
     def test_internal_disagreement_is_not_bad_input(self, monkeypatch):
-        # only ValueError means bad input; a closed-form self-check failure
-        # must surface as the RuntimeError it is
-        monkeypatch.setattr(centralizers, "_explicit_qt_pair",
-                            lambda sig, pair, kind: full_algebra(sig))
-        with pytest.raises(RuntimeError, match="disagree"):
-            main(["centralizer", "--signature", "2,0,0",
-                  "--subspace", "qt:13", "--kind", "plain"])
+        # only ValueError means bad input; a table entry whose terms overlap
+        # (Lambda^(0) lies inside Lambda) must surface as the RuntimeError it is
+        overlapping = ((centralizers._L0, centralizers._L),) * 2
+        for table, key, argv in [
+                (centralizers._QT_PAIR_TABLE, ("plain", (1, 3)),
+                 ["centralizer", "--signature", "2,0,0", "--subspace", "qt:13",
+                  "--kind", "plain"]),
+                (centralizers._SMALL_GRADE, ("plain", 1),
+                 ["verify", "--max-dim", "2"])]:
+            with monkeypatch.context() as patch:
+                patch.setitem(table, key, overlapping)
+                with pytest.raises(RuntimeError, match=r"overlap at e\[\]"):
+                    main(argv)
 
     def test_disjoint_direct_sum_exits_0(self, capsys):
         # in Cl(2,0,0) lambda:1 is empty, so it cannot meet grade:1
@@ -336,13 +352,30 @@ class TestPatchingAgainstWarmCaches:
     """The per-process caches sit below every function the tests patch, so
     a patch made after a sweep has filled them still takes effect."""
 
-    def test_internal_disagreement_after_a_sweep(self, capsys, monkeypatch):
-        assert run(capsys, "verify", "--max-dim", "2")[0] == 0
-        monkeypatch.setattr(centralizers, "_explicit_qt_pair",
-                            lambda sig, pair, kind: full_algebra(sig))
-        with pytest.raises(RuntimeError, match="disagree"):
-            main(["centralizer", "--signature", "2,0,0",
-                  "--subspace", "qt:13", "--kind", "plain"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pair_table_mismatch_is_reported(self, capsys, monkeypatch, warm):
+        if warm:
+            assert run(capsys, "verify", "--max-dim", "2")[0] == 0
+        original = centralizers._explicit_qt_pair
+        monkeypatch.setattr(  # the table with its pseudoscalar flipped
+            centralizers, "_explicit_qt_pair", lambda sig, pair, kind: Subspace(
+                sig, original(sig, pair, kind).mask ^ 1 << sig.full_mask))
+        code, out, err = run(capsys, "verify", "--max-dim", "2", "--format", "json")
+        assert (code, err) == (2, "")
+        records = json.loads(out)
+        # 3 signatures with n = 1 and 6 with n = 2, 2 or 3 grades, 4 types,
+        # 6 pairs, 3 kinds
+        assert len(records) == (3 * 12 + 6 * 13) * 3
+        pairs = {"qt:01", "qt:02", "qt:03", "qt:12", "qt:13", "qt:23"}
+        wrong = [r for r in records if not r["match"]]
+        assert len(wrong) == 9 * 6 * 3
+        assert all(r["target"] in pairs for r in wrong)
+        for record in wrong:
+            assert record["matches"] == {"closed_form": True, "qt_pair": False,
+                                         "nullspace": True}
+            top = format_blade(make_signature(**record["signature"]).full_mask)
+            assert (record["diff"]["qt_pair_only_brute"]
+                    + record["diff"]["qt_pair_only_closed"]) == [top]
 
     def test_mismatch_after_a_sweep(self, capsys, monkeypatch):
         assert run(capsys, "verify", "--max-dim", "2")[0] == 0

@@ -52,9 +52,9 @@ OWN = {
         "centralizers.closed_form_small_grade",
         "centralizers.closed_form_nondegenerate", "centralizers.closed_form_qt",
         "centralizers.closed_form_qt_pair", "centralizers._explicit_qt_pair",
-        "centralizers._table_form",
+        "centralizers._table_form", "centralizers._check_int",
         "subspaces._grade_mask", "subspaces._grades", "subspaces._parity_mask",
-        "subspaces.direct_sum", "subspaces.intersect", "subspaces.difference",
+        "subspaces.direct_sum", "subspaces.intersect",
         "subspaces.full_algebra", "subspaces.grade_range",
         "subspaces.grade_subspace", "subspaces.parity_subspace",
         "subspaces.parity_part", "subspaces.lambda_even", "subspaces.lambda_full",

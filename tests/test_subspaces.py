@@ -21,7 +21,6 @@ from cliffcent.blades import (
 from cliffcent.centralizers import _assemble, all_signatures
 from cliffcent.subspaces import (
     Subspace,
-    difference,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -292,9 +291,9 @@ class TestBitmapAgainstFrozensets:
             for b in sets:
                 sb = Subspace.from_blades(sig, b)
                 assert intersect(sa, sb).blades == a & b
-                assert difference(sa, sb).blades == a - b
                 assert (sa == sb) == (a == b)
-                assert direct_sum([difference(sa, sb), sb]).blades == a | b
+                only_a = Subspace.from_blades(sig, a - b)
+                assert direct_sum([only_a, sb]).blades == a | b
                 if a & b:
                     lowest = format_blade(min(a & b))
                     with pytest.raises(ValueError, match=re.escape(lowest)):
@@ -315,7 +314,7 @@ class TestBitmapAgainstFrozensets:
             if overlap:
                 parts = [Subspace.from_blades(sig, a), Subspace.from_blades(sig, b)]
                 bad = format_blade(min(overlap))
-                with pytest.raises(ValueError, match=re.escape(f"overlap at {bad}")):
+                with pytest.raises(RuntimeError, match=re.escape(f"overlap at {bad}")):
                     _assemble(sig, parts)
 
     @pytest.mark.parametrize("sig", BITMAP_SIGNATURES, ids=str)
