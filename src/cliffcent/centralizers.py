@@ -96,13 +96,13 @@ def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _parities(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """For the blades b < 2^n: the 0/1 rows [|b| even, |b| odd], and
-    (-1)^|b|, both as int64."""
+def _parities(n: int) -> Tuple[int, np.ndarray]:
+    """For the blades b < 2^n: the mask of those with |b| even, and
+    (-1)^|b| as an int64 row."""
     import numpy as np
 
     odd = (np.bitwise_count(np.arange(1 << n)) & 1).astype(np.int64)
-    return np.stack([1 - odd, odd]), 1 - 2 * odd
+    return _pack(1 - odd), 1 - 2 * odd
 
 
 def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
@@ -120,6 +120,15 @@ def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
     return rows.reshape(count, -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _part_transform(n: int, r: int, part: int) -> np.ndarray:
+    """The transform of the indicator row of ``part`` at Cl(n - r, 0, r),
+    read-only because every target with this part reads it."""
+    row = _transform(Signature(n - r, 0, r), _unpack(part, 1 << n)[None])[0]
+    row.flags.writeable = False
+    return row
+
+
 _SIDE_KINDS = (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED,
                CentralizerKind.MIX_TWISTED)
 
@@ -127,14 +136,14 @@ _SIDE_KINDS = (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED,
 @functools.lru_cache(maxsize=None)
 def _brute_masks(n: int, r: int, mask: int) -> Tuple[int, int, int]:
     """The brute-force centralizer masks of the target with this mask in
-    every Cl(p,q,r) with p + q = n - r, in ``_SIDE_KINDS`` order, from one
-    transform of its even and its odd blades.  No metric sign is read, so
-    the transform runs at the class representative Cl(n - r, 0, r)."""
+    every Cl(p,q,r) with p + q = n - r, in ``_SIDE_KINDS`` order, from the
+    transforms of its even and its odd blades.  No metric sign is read, so
+    the transforms run at the class representative Cl(n - r, 0, r)."""
     import numpy as np
 
-    sig = Signature(n - r, 0, r)
-    parity_rows, signs = _parities(n)
-    even, odd = _transform(sig, _unpack(mask, 1 << n) * parity_rows)
+    evens, signs = _parities(n)
+    even = _part_transform(n, r, mask & evens)
+    odd = _part_transform(n, r, mask & ~evens)
     # the right-hand sides in _SIDE_KINDS order; hat's is (-1)^|x| plain's
     sides = np.empty((3, 1 << n), dtype=np.int64)
     plain, hat, whole = sides
@@ -173,10 +182,12 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     * plain: A(x) = E(x) + (-1)^|x| O(x);
     * hat:   A(x) = (-1)^|x| E(x) + O(x).
 
-    So one transform of two rows, O(n 2^n) exact integer operations
-    whatever |S| is, answers all three kinds.  The answer depends only on
+    So two transformed rows, O(n 2^n) exact integer operations each
+    whatever |S| is, answer all three kinds.  The answer depends only on
     n, r and the blades of S, so its masks are cached per (n, r, mask of S):
-    the other two kinds and every other split of p + q read the cache.
+    the other two kinds and every other split of p + q read the cache.  T is
+    linear, so E and O are cached per (n, r, part): targets that share their
+    even or their odd part, such as qt:0, qt:1 and qt:01, share its row.
     """
     _check_kind(kind)
     if sig.n > MAX_DIM:
@@ -575,9 +586,9 @@ def report_json(report: VerifyReport) -> str:
             f'"closed_blades": {closed}, {tail[1:]}')
 
 
-def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
-                             kind: CentralizerKind) -> Dict[str, Subspace]:
-    """Every applicable closed-form route for the target, by route name.
+def _closed_form(sig: Signature, spec: SubspaceSpec,
+                 kind: CentralizerKind) -> Optional[Subspace]:
+    """The target's closed form, or None when it has none.
 
     The centralizer condition is linear in V, so the centralizer of a direct
     sum is the intersection of the per-atom centralizers.  Atoms without a
@@ -601,8 +612,17 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
         elif tag == "qt_pair":
             per_atom.append(closed_form_qt_pair(sig, (atom[1], atom[2]), kind))
         else:
-            return {}  # no closed form for this target
-    forms = {"closed_form": _intersect_all(per_atom, sig)}
+            return None
+    return _intersect_all(per_atom, sig)
+
+
+def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
+                             kind: CentralizerKind) -> Dict[str, Subspace]:
+    """Every applicable closed-form route for the target, by route name."""
+    main = _closed_form(sig, spec, kind)
+    if main is None:
+        return {}  # no closed form for this target
+    forms = {"closed_form": main}
     if len(spec.atoms) == 1 and spec.atoms[0][0] == "grade":
         m = spec.atoms[0][1]
         if 1 <= m <= 4 and kind is not CentralizerKind.MIX_TWISTED:
@@ -797,8 +817,7 @@ def table1_rows(sig: Signature) -> List[Table1Row]:
     rows = []
     for kind_name, label, targets, reduction in _TABLE1_LAYOUT:
         kind = CentralizerKind(kind_name)
-        reduced = _closed_forms_for_target(
-            sig, _parsed(targets[0]), kind)["closed_form"]
+        reduced = _closed_form(sig, _parsed(targets[0]), kind)
         matches = tuple(
             brute_force_centralizer(
                 sig, _target(sig, _parsed(target)), kind

@@ -473,10 +473,18 @@ def count_transforms(monkeypatch):
     return calls
 
 
+def even_part(s):
+    """The mask of the even-grade blades of S, counted here, not read from
+    brute force."""
+    return sum(1 << b for b in s.blades if not b.bit_count() & 1)
+
+
 class TestBruteForceTransformCache:
-    """One transform of a target's even and odd blades answers all three
-    kinds, and the masks are cached per (n, r, target mask): every split of
-    p + q reads the masks of its class representative Cl(p + q, 0, r)."""
+    """The transforms of a target's even and odd part answer all three
+    kinds.  The masks are cached per (n, r, target mask) and each part's
+    transform per (n, r, part): every split of p + q reads its class
+    representative Cl(p + q, 0, r), and targets that share a part share its
+    row."""
 
     def test_every_chunk_kernel_is_symmetric(self):
         # widths 1..3, each with 0..width degenerate generators
@@ -487,22 +495,24 @@ class TestBruteForceTransformCache:
             kernel = centralizers._chunk_kernel(*key)
             assert np.array_equal(kernel, kernel.T), key
 
-    def test_one_transform_per_distinct_target(self, monkeypatch):
+    def test_one_transform_per_distinct_part(self, monkeypatch):
         sig = make_signature(2, 1, 1)
         clear_every_cache()
         calls = count_transforms(monkeypatch)
         names = sweep_targets(sig, centralizers.SWEEP_TARGET_FAMILIES)
-        targets = set()
+        targets, parts = set(), set()
         for target in names:
             s = subspace_from_text(sig, target)
             targets.add(s)
+            parts |= {even_part(s), s.mask & ~even_part(s)}
             for kind in CentralizerKind:
                 got = brute_force_centralizer(sig, s, kind)
                 assert got.blades == pair_kernel_centralizer(sig, s, kind), \
                     (target, kind)
-            assert len(calls) == len(targets), target
-        # at n = 4, qt:1, qt:2 and qt:3 span grades 1, 2 and 3
-        assert (len(names), len(targets)) == (15, 12)
+            assert len(calls) == len(parts), target
+        # at n = 4, qt:1, qt:2 and qt:3 span grades 1, 2 and 3; the parts
+        # are the empty one and the 8 even or odd targets
+        assert (len(names), len(targets), len(parts)) == (15, 12, 9)
 
     def test_one_transform_again_after_the_benchmark_reset(self, monkeypatch):
         sig = make_signature(1, 1, 2)
@@ -512,7 +522,8 @@ class TestBruteForceTransformCache:
         calls = count_transforms(monkeypatch)
         again = [brute_force_centralizer(sig, s, kind) for kind in CentralizerKind]
         assert again == first
-        assert calls == [make_signature(2, 0, 2)]
+        # qt:12's even part grade 2 and its odd part grade 1
+        assert calls == [make_signature(2, 0, 2)] * 2
 
     def test_the_splits_of_a_class_share_transforms_and_grade_forms(
             self, monkeypatch):
@@ -527,10 +538,51 @@ class TestBruteForceTransformCache:
                     report = verify_case(sig, target, kind, with_nullspace=False)
                     assert report.match, (sig, target, kind, report.diff)
             misses.append(grade_forms.cache_info().misses)
-        # 12 distinct targets at n = 4, all transformed at Cl(3,0,1)
-        assert calls == [make_signature(3, 0, 1)] * 12
+        # 9 distinct parts of the 12 distinct targets at n = 4, all
+        # transformed at Cl(3,0,1)
+        assert calls == [make_signature(3, 0, 1)] * 9
         # grades 0..4, each under the plain and the hat kind
         assert misses == [10] * 4
+
+    @pytest.mark.parametrize("pqr", [(3, 0, 0), (2, 1, 1), (1, 0, 4),
+                                     (0, 0, 5), (4, 2, 0), (3, 1, 3)])
+    def test_targets_that_share_parts_share_transforms(self, monkeypatch, pqr):
+        sig = make_signature(*pqr)
+        clear_every_cache()
+        calls = count_transforms(monkeypatch)
+        # qt:01's parts are qt:0 and qt:1, and all's are qt:02 and qt:13;
+        # qt:0's empty odd part is also the odd part of qt:02
+        costs = []
+        for target in ("qt:0", "qt:1", "qt:01", "all", "qt:02", "qt:13",
+                       "even", "odd"):
+            before = len(calls)
+            s = subspace_from_text(sig, target)
+            for kind in CentralizerKind:
+                got = brute_force_centralizer(sig, s, kind)
+                assert got.blades == pair_kernel_centralizer(sig, s, kind), \
+                    (target, kind)
+            costs.append(len(calls) - before)
+        assert costs == [2, 1, 0, 2, 0, 0, 0, 0]
+
+    def test_a_cached_row_is_read_only(self):
+        clear_every_cache()
+        sig = make_signature(2, 1, 1)
+        qt0 = subspace_from_text(sig, "qt:0")
+        brute_force_centralizer(sig, qt0, PLAIN)
+        # qt:0 is grades 0 and 4, so its mask is its even part
+        row = centralizers._part_transform(4, 1, qt0.mask)
+        kept = row.copy()
+        with pytest.raises(ValueError):
+            row[0] = 7
+        with pytest.raises(ValueError):
+            row += 1
+        assert np.array_equal(row, kept)
+        # qt:01 reads the same row, unchanged
+        assert centralizers._part_transform(4, 1, qt0.mask) is row
+        qt01 = subspace_from_text(sig, "qt:01")
+        for kind in CentralizerKind:
+            assert (brute_force_centralizer(sig, qt01, kind).blades
+                    == pair_kernel_centralizer(sig, qt01, kind))
 
     def test_warm_splits_agree_with_the_pair_kernel(self):
         clear_every_cache()
@@ -1337,6 +1389,26 @@ class TestTable1:
             for row in rows:
                 assert row.subspace == self.named_form(sig, row.reduction), \
                     (sig, row.label, row.reduction)
+
+    def test_builds_only_the_closed_form(self, monkeypatch):
+        sig = make_signature(7, 0, 8)
+        calls = []
+        original = centralizers._explicit_qt_pair
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(centralizers, "_explicit_qt_pair", counting)
+        rows = table1_rows(sig)
+        assert calls == []
+        assert len(rows) == 14 and all(row.match for row in rows)
+        for row in rows:
+            forms = centralizers._closed_forms_for_target(
+                sig, parse_subspace_spec(row.targets[0]), row.kind)
+            assert row.subspace == forms["closed_form"], row.label
+        # the qt_pair leg of the six rows led by a pair still builds it
+        assert len(calls) == 6
 
     def test_multi_target_rows_check_every_equality(self):
         rows = table1_rows(make_signature(2, 1, 0))

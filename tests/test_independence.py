@@ -35,6 +35,7 @@ OWN = {
     "brute force": {
         "centralizers.brute_force_centralizer", "centralizers._brute_masks",
         "centralizers._parities", "centralizers._transform",
+        "centralizers._part_transform",
         "centralizers._chunk_kernel",
     },
     "oracle": {
@@ -45,7 +46,8 @@ OWN = {
         "subspaces.Subspace.sorted_blades",
     },
     "closed forms": {
-        "centralizers._closed_forms_for_target", "centralizers._intersect_all",
+        "centralizers._closed_forms_for_target", "centralizers._closed_form",
+        "centralizers._intersect_all",
         "centralizers.closed_form_grade", "centralizers._closed_form_grade",
         "centralizers._general_form", "centralizers._assemble",
         "centralizers._untwisted", "centralizers.center_closed_form",
