@@ -86,23 +86,27 @@ def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
     """The Kronecker product of the 2x2 kernels K[x_i, v_i] of ``width``
     consecutive generators: [[1, 1], [1, -1]] for a nondegenerate one,
     [[1, 1], [1, 0]] for each of the top ``degenerate`` degenerate ones.
-    Each is symmetric, so the product is too and needs no transpose."""
+    Each is symmetric, so the product is too and needs no transpose.
+    Read-only, because every transform of that run shares it."""
     import numpy as np
 
     out = np.ones((1, 1), dtype=np.int64)
     for i in range(width):
         out = np.kron(out, [[1, 1], [1, 0]] if i < degenerate else [[1, 1], [1, -1]])
+    out.flags.writeable = False
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _parities(n: int) -> Tuple[int, np.ndarray]:
     """For the blades b < 2^n: the mask of those with |b| even, and
-    (-1)^|b| as an int64 row."""
+    (-1)^|b| as a read-only int64 row."""
     import numpy as np
 
     odd = (np.bitwise_count(np.arange(1 << n)) & 1).astype(np.int64)
-    return _pack(1 - odd), 1 - 2 * odd
+    signs = 1 - 2 * odd
+    signs.flags.writeable = False
+    return _pack(1 - odd), signs
 
 
 def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
@@ -591,29 +595,29 @@ def _closed_form(sig: Signature, spec: SubspaceSpec,
     """The target's closed form, or None when it has none.
 
     The centralizer condition is linear in V, so the centralizer of a direct
-    sum is the intersection of the per-atom centralizers.  Atoms without a
-    closed form (bare lambda pieces) make the whole target formula-free.
+    sum, a grade range or ``all`` included, is the intersection of its
+    summands' centralizers; grades outside [0, n] span nothing, so they add
+    no condition.  Atoms without a closed form (bare lambda pieces) make the
+    whole target formula-free.
     """
-    per_atom: List[Subspace] = []
+    forms: List[Subspace] = []
     for atom in spec.atoms:
         tag = atom[0]
         if tag == "grade":
-            per_atom.append(closed_form_grade(sig, atom[1], kind))
+            forms.append(closed_form_grade(sig, atom[1], kind))
         elif tag == "all" and kind is CentralizerKind.PLAIN:
-            per_atom.append(center_closed_form(sig))  # the paper's center Z
+            forms.append(center_closed_form(sig))  # the paper's center Z
         elif tag in ("grade_range", "all"):
-            # grades outside [0, n] span nothing, so they add no condition
             lo, hi = atom[1:] if tag == "grade_range" else (0, sig.n)
-            per_atom.append(_intersect_all(
-                [closed_form_grade(sig, m, kind)
-                 for m in range(max(lo, 0), min(hi, sig.n) + 1)], sig))
+            forms += [closed_form_grade(sig, m, kind)
+                      for m in range(max(lo, 0), min(hi, sig.n) + 1)]
         elif tag == "qt":
-            per_atom.append(closed_form_qt(sig, atom[1], kind))
+            forms.append(closed_form_qt(sig, atom[1], kind))
         elif tag == "qt_pair":
-            per_atom.append(closed_form_qt_pair(sig, (atom[1], atom[2]), kind))
+            forms.append(closed_form_qt_pair(sig, (atom[1], atom[2]), kind))
         else:
             return None
-    return _intersect_all(per_atom, sig)
+    return functools.reduce(intersect, forms) if forms else full_algebra(sig)
 
 
 def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
@@ -625,7 +629,7 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
     forms = {"closed_form": main}
     if len(spec.atoms) == 1 and spec.atoms[0][0] == "grade":
         m = spec.atoms[0][1]
-        if 1 <= m <= 4 and kind is not CentralizerKind.MIX_TWISTED:
+        if (kind.value, m) in _SMALL_GRADE:
             forms["small_grade"] = closed_form_small_grade(sig, m, kind)
         if sig.r == 0:
             forms["nondegenerate"] = closed_form_nondegenerate(sig, m, kind)
@@ -633,15 +637,6 @@ def _closed_forms_for_target(sig: Signature, spec: SubspaceSpec,
         pair = tuple(sorted(spec.atoms[0][1:]))
         forms["qt_pair"] = _explicit_qt_pair(sig, pair, kind)
     return forms
-
-
-def _intersect_all(parts: List[Subspace], sig: Signature) -> Subspace:
-    if not parts:
-        return full_algebra(sig)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = intersect(acc, part)
-    return acc
 
 
 # Targets are cached on private names, below every public entry point, so

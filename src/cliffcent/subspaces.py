@@ -56,10 +56,13 @@ def _pack(indicator) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _order_array(n: int):
-    """``blade_table(n).order`` as a numpy array."""
+    """``blade_table(n).order`` as a read-only numpy array, since every
+    caller with this n shares it."""
     import numpy as np
 
-    return np.array(blade_table(n).order)
+    order = np.array(blade_table(n).order)
+    order.flags.writeable = False
+    return order
 
 
 @dataclass(frozen=True, repr=False)

@@ -495,6 +495,19 @@ class TestBruteForceTransformCache:
             kernel = centralizers._chunk_kernel(*key)
             assert np.array_equal(kernel, kernel.T), key
 
+    @pytest.mark.parametrize("cached", [
+        lambda: centralizers._chunk_kernel(3, 1),
+        lambda: centralizers._parities(4)[1],
+        lambda: subspaces._order_array(4),
+    ], ids=["chunk_kernel", "parity_signs", "order_array"])
+    def test_cached_arrays_are_read_only(self, cached):
+        # every caller with the same key shares the array
+        array = cached()
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+        assert np.array_equal(cached(), before)
+
     def test_one_transform_per_distinct_part(self, monkeypatch):
         sig = make_signature(2, 1, 1)
         clear_every_cache()
@@ -1006,6 +1019,17 @@ class TestVerifyCase:
         assert report.brute_blades == want.brute_blades
         assert report.closed_blades == want.closed_blades
 
+    @pytest.mark.parametrize("target", ["grade:3..1", "grade:5..9"])
+    @pytest.mark.parametrize("kind", list(CentralizerKind))
+    def test_empty_grade_range_adds_no_condition(self, target, kind):
+        # descending, or above n = 4: the range spans nothing
+        sig = make_signature(2, 1, 1)
+        report = verify_case(sig, target, kind)
+        assert report.match, report.diff
+        assert set(report.matches) == {"closed_form", "nullspace"}
+        assert len(report.brute_blades) == report.nullspace_dim == 16
+        assert report.closed_blades == full_algebra(sig).sorted_blades()
+
     @pytest.mark.parametrize("target, closed, key, want", [
         ("grade:0", [(), (2,), (1, 3)], "closed_form_only_brute",
          ["e[1]", "e[3]", "e[1,2]", "e[2,3]", "e[1,2,3]"]),
@@ -1122,6 +1146,14 @@ class TestMalformedInput:
         report = verify_case(sig, "grade:1", PLAIN)
         assert report.match
         assert set(report.matches) == {"closed_form", "small_grade", "nullspace"}
+
+
+@pytest.mark.parametrize("route", [brute_force_centralizer,
+                                   nullspace_centralizer_oracle])
+def test_a_route_refuses_a_subspace_of_another_signature(route):
+    s = grade_subspace(make_signature(2, 0, 1), 1)
+    with pytest.raises(ValueError, match="does not belong"):
+        route(make_signature(1, 1, 1), s, PLAIN)
 
 
 def flip_one_blade(original):
@@ -1389,6 +1421,25 @@ class TestTable1:
             for row in rows:
                 assert row.subspace == self.named_form(sig, row.reduction), \
                     (sig, row.label, row.reduction)
+
+    @pytest.mark.parametrize("kind", [PLAIN, HAT])
+    def test_rows_are_the_groups_of_equal_centralizers(self, kind):
+        """The four types and six pairs, grouped by their brute-force masks
+        at one Cl(n - r, 0, r) per (n, r) class with n <= 10: each row of
+        the kind is one group, and each group is a row.  Brute force reads
+        no metric sign, so the class representative stands for the class."""
+        classes = [make_signature(n - r, 0, r)
+                   for n in range(1, SWEEP_MAX_DIM + 1) for r in range(n + 1)]
+        assert len(classes) == 65
+        groups = {}
+        for target in sweep_targets(classes[0], ("qtypes", "pairs")):
+            key = tuple(brute_force_centralizer(
+                sig, subspace_from_text(sig, target), kind).mask for sig in classes)
+            groups.setdefault(key, []).append(target)
+        rows = [sorted(targets) for kind_name, _, targets, _
+                in centralizers._TABLE1_LAYOUT if kind_name == kind.value]
+        assert len(rows) == {PLAIN: 5, HAT: 9}[kind]
+        assert sorted(map(sorted, groups.values())) == sorted(rows)
 
     def test_builds_only_the_closed_form(self, monkeypatch):
         sig = make_signature(7, 0, 8)

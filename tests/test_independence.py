@@ -47,7 +47,6 @@ OWN = {
     },
     "closed forms": {
         "centralizers._closed_forms_for_target", "centralizers._closed_form",
-        "centralizers._intersect_all",
         "centralizers.closed_form_grade", "centralizers._closed_form_grade",
         "centralizers._general_form", "centralizers._assemble",
         "centralizers._untwisted", "centralizers.center_closed_form",

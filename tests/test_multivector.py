@@ -141,6 +141,11 @@ class TestArithmetic:
         assert u * v - v * u == mv(((1, 2), 2))
         assert (u * u - u * u).is_zero()
 
+    def test_sum_refuses_another_signature(self):
+        other = mv_from_terms(make_signature(2, 0, 1), [(0, Fraction(1))])
+        with pytest.raises(ValueError, match="signature mismatch"):
+            mv(((), 1)) + other
+
     @given(multivectors(sig=SIG), multivectors(sig=SIG), multivectors(sig=SIG))
     @settings(max_examples=60)
     def test_distributive(self, u, v, w):
@@ -158,6 +163,10 @@ class TestProjections:
         u = mv(((), 1), ((1,), 2), ((1, 2), 3))
         assert parity_project(u, 0) == mv(((), 1), ((1, 2), 3))
         assert parity_project(u, 1) == mv(((1,), 2))
+
+    def test_parity_project_refuses_other_values(self):
+        with pytest.raises(ValueError, match="parity must be 0 or 1, got 2"):
+            parity_project(mv(((), 1)), 2)
 
     def test_involutes(self):
         u = mv(((1,), 1), ((1, 2), 1), ((1, 2, 3), 1))

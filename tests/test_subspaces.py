@@ -410,6 +410,18 @@ class TestDirectSum:
         with pytest.raises(ValueError, match="e\\["):
             direct_sum([grade_subspace(SIG, 1), parity_subspace(SIG, 1)])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda other: direct_sum([grade_subspace(SIG, 0), other]),
+         "signature mismatch in direct_sum"),
+        (lambda other: direct_sum([]), "direct_sum of no subspaces"),
+        (lambda other: intersect(grade_subspace(SIG, 0), other),
+         "signature mismatch in intersect"),
+    ])
+    def test_refuses_mixed_or_no_signatures(self, call, message):
+        other = grade_subspace(make_signature(2, 1, 1), 1)
+        with pytest.raises(ValueError, match=message):
+            call(other)
+
     def test_set_predicates(self):
         a = grade_range(SIG, 0, 2)
         b = grade_subspace(SIG, 1)
