@@ -6,8 +6,8 @@ For a subspace S and an element X the three conditions are
 * grade-twisted:  hat(X) V = V X       for all V in S,
 * mix-twisted:    X <V>_0 + hat(X) <V>_1 = V X   for all V in S.
 
-Route one counts, for every basis blade at once, the blades of S it fails
-against, with one exact integer transform per generator.  Route two solves
+Route one tests every basis blade at once against the even and the odd
+blades of S, with one exact integer transform per generator.  Route two solves
 the defining linear system over the rationals.  Route three evaluates
 closed-form descriptions assembled from graded pieces.  The verification
 engine runs the routes side by side and reports every disagreement.
@@ -125,41 +125,21 @@ def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _part_transform(n: int, r: int, part: int) -> np.ndarray:
-    """The transform of the indicator row of ``part`` at Cl(n - r, 0, r),
-    read-only because every target with this part reads it."""
+def _part_masks(n: int, r: int, part: int) -> Tuple[int, int]:
+    """Masks (same, flip) of the x where T(x), and (-1)^|x| T(x), equals
+    T(x & degenerate_mask), with T the transform of ``part`` at Cl(n - r, 0, r)."""
     row = _transform(Signature(n - r, 0, r), _unpack(part, 1 << n)[None])[0]
-    row.flags.writeable = False
-    return row
-
-
-_SIDE_KINDS = (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED,
-               CentralizerKind.MIX_TWISTED)
-
-
-@functools.lru_cache(maxsize=None)
-def _brute_masks(n: int, r: int, mask: int) -> Tuple[int, int, int]:
-    """The brute-force centralizer masks of the target with this mask in
-    every Cl(p,q,r) with p + q = n - r, in ``_SIDE_KINDS`` order, from the
-    transforms of its even and its odd blades.  No metric sign is read, so
-    the transforms run at the class representative Cl(n - r, 0, r)."""
-    import numpy as np
-
-    evens, signs = _parities(n)
-    even = _part_transform(n, r, mask & evens)
-    odd = _part_transform(n, r, mask & ~evens)
-    # the right-hand sides in _SIDE_KINDS order; hat's is (-1)^|x| plain's
-    sides = np.empty((3, 1 << n), dtype=np.int64)
-    plain, hat, whole = sides
-    np.multiply(signs, odd, out=plain)
-    plain += even
-    np.multiply(signs, plain, out=hat)
-    np.add(even, odd, out=whole)
-    # The degenerate generators are the top bits, so in rows of 2^(p+q)
+    # The degenerate generators are the top bits, so in rows of 2^(n-r)
     # entries, x & degenerate_mask is the first entry of x's row.
-    width = 1 << (n - r)
-    kept = np.equal(whole.reshape(-1, width)[:, :1], sides.reshape(3, -1, width))
-    return tuple(_pack(row) for row in kept.reshape(3, -1))
+    rows = row.reshape(-1, 1 << (n - r))
+    signs = _parities(n)[1].reshape(rows.shape)
+    count = rows[:, :1]
+    return _pack((rows == count).ravel()), _pack((signs * rows == count).ravel())
+
+
+# Per kind, the mask read from a target's (even, odd) part: 0 same, 1 flip.
+_PART_SIDES = {CentralizerKind.PLAIN: (0, 1), CentralizerKind.GRADE_TWISTED: (1, 0),
+               CentralizerKind.MIX_TWISTED: (0, 0)}
 
 
 def brute_force_centralizer(sig: Signature, s: Subspace,
@@ -172,34 +152,30 @@ def brute_force_centralizer(sig: Signature, s: Subspace,
     x & v & degenerate_mask = 0 and |x & v| + c_v |x| is odd, where c_v is
     |v| for plain, |v| + 1 for hat and 0 for tilde.  No metric sign is read.
 
-    One 2x2 integer kernel per generator, [[1, 1], [1, -1]] if it is
-    nondegenerate and [[1, 1], [1, 0]] if it is degenerate, maps a row f of
-    length 2^n to T f(x) = sum of f(v) (-1)^|x & v| over the v with
-    x & v & degenerate_mask = 0 (Yates's algorithm; the Walsh-Hadamard and
-    subset-sum transforms).  With E and O the transforms of the even and
-    the odd blades of S and W = E + O, A(x) = W(x & degenerate_mask) counts
-    the v in S with x & v & degenerate_mask = 0, since T is a plain sum
-    where x has no nondegenerate bit.  X = x passes every v exactly when
-    the sum of (-1)^(|x & v| + c_v |x|) over those v reaches A(x):
-
-    * tilde: A(x) = W(x);
-    * plain: A(x) = E(x) + (-1)^|x| O(x);
-    * hat:   A(x) = (-1)^|x| E(x) + O(x).
-
-    So two transformed rows, O(n 2^n) exact integer operations each
-    whatever |S| is, answer all three kinds.  The answer depends only on
-    n, r and the blades of S, so its masks are cached per (n, r, mask of S):
-    the other two kinds and every other split of p + q read the cache.  T is
-    linear, so E and O are cached per (n, r, part): targets that share their
-    even or their odd part, such as qt:0, qt:1 and qt:01, share its row.
+    The condition is linear in V, so Z(S) = Z(S_even) ∩ Z(S_odd), and on
+    one parity part c_v |x| is 0 for every v or |x| for every v.  One 2x2
+    integer kernel per generator, [[1, 1], [1, -1]] if it is nondegenerate
+    and [[1, 1], [1, 0]] if it is degenerate, maps a part's indicator row to
+    T(x) = sum of (-1)^|x & v| over its v with x & v & degenerate_mask = 0
+    (Yates's algorithm; the Walsh-Hadamard and subset-sum transforms), and
+    T(x & degenerate_mask) counts those v.  So x passes the part with
+    c_v |x| = 0 where T(x) reaches that count ("same"), and with |x| where
+    (-1)^|x| T(x) does ("flip").  Each kind ANDs one mask of each part:
+    plain the even part's same and the odd part's flip, hat the reverse,
+    tilde both same.  One transform, O(n 2^n) exact integer operations
+    whatever |S| is, gives both masks of a part, cached per (n, r, part):
+    every split of p + q and every target that shares a part, such as
+    qt:0, qt:1 and qt:01, reads them.
     """
     _check_kind(kind)
     if sig.n > MAX_DIM:
         raise ValueError(f"brute force limited to n <= {MAX_DIM}, got n = {sig.n}")
     if s.signature != sig:
         raise ValueError("subspace does not belong to the given signature")
-    masks = _brute_masks(sig.n, sig.r, s.mask)
-    return Subspace(sig, masks[_SIDE_KINDS.index(kind)])
+    evens = _parities(sig.n)[0]
+    even, odd = _PART_SIDES[kind]
+    return Subspace(sig, _part_masks(sig.n, sig.r, s.mask & evens)[even]
+                    & _part_masks(sig.n, sig.r, s.mask & ~evens)[odd])
 
 
 # -- route two: exact nullspace of the defining linear system -------------------

@@ -270,6 +270,18 @@ class TestCentralizerLaws:
                     split, Subspace.from_blades(split, a.blades), kind)
                 assert nullspace_matches_blades(dim, basis, brute), (split, a)
 
+    def test_mix_twisted_splits_into_plain_even_and_hat_odd(self):
+        # on S_even tilde's condition is the plain one, on S_odd the hat one
+        for sig, a, b in random_disjoint_pairs():
+            for s in (a, b, direct_sum([a, b])):
+                even, odd = parity_part(s, 0), parity_part(s, 1)
+                plain_even = brute_force_centralizer(sig, even, PLAIN)
+                hat_odd = brute_force_centralizer(sig, odd, HAT)
+                assert brute_force_centralizer(sig, s, TILDE) == intersect(
+                    plain_even, hat_odd), (sig, s)
+                assert brute_force_centralizer(sig, even, TILDE) == plain_even
+                assert brute_force_centralizer(sig, odd, TILDE) == hat_odd
+
 
 class TestBruteForceLargeAlgebras:
     """n = 16: every transform row holds 65,536 candidate blades."""
@@ -480,11 +492,10 @@ def even_part(s):
 
 
 class TestBruteForceTransformCache:
-    """The transforms of a target's even and odd part answer all three
-    kinds.  The masks are cached per (n, r, target mask) and each part's
-    transform per (n, r, part): every split of p + q reads its class
-    representative Cl(p + q, 0, r), and targets that share a part share its
-    row."""
+    """One transform of each of a target's even and odd part answers all
+    three kinds.  A part's two masks are cached per (n, r, part): every
+    split of p + q reads its class representative Cl(p + q, 0, r), and
+    targets that share a part share its masks."""
 
     def test_every_chunk_kernel_is_symmetric(self):
         # widths 1..3, each with 0..width degenerate generators
@@ -577,25 +588,26 @@ class TestBruteForceTransformCache:
             costs.append(len(calls) - before)
         assert costs == [2, 1, 0, 2, 0, 0, 0, 0]
 
-    def test_a_cached_row_is_read_only(self):
+    def test_a_part_caches_two_ints(self, monkeypatch):
         clear_every_cache()
         sig = make_signature(2, 1, 1)
-        qt0 = subspace_from_text(sig, "qt:0")
-        brute_force_centralizer(sig, qt0, PLAIN)
-        # qt:0 is grades 0 and 4, so its mask is its even part
-        row = centralizers._part_transform(4, 1, qt0.mask)
-        kept = row.copy()
-        with pytest.raises(ValueError):
-            row[0] = 7
-        with pytest.raises(ValueError):
-            row += 1
-        assert np.array_equal(row, kept)
-        # qt:01 reads the same row, unchanged
-        assert centralizers._part_transform(4, 1, qt0.mask) is row
-        qt01 = subspace_from_text(sig, "qt:01")
+        qt0, qt1, qt01 = (subspace_from_text(sig, target)
+                          for target in ("qt:0", "qt:1", "qt:01"))
+        for s in (qt0, qt1):
+            brute_force_centralizer(sig, s, PLAIN)
+        # qt:0 is grades 0 and 4 and qt:1 is grade 1, so the parts are
+        # qt:0, qt:1 and the empty one
+        parts = (qt0.mask, qt1.mask, 0)
+        assert centralizers._part_masks.cache_info().currsize == len(parts)
+        calls = count_transforms(monkeypatch)
+        for part in parts:
+            masks = centralizers._part_masks(4, 1, part)
+            assert [type(mask) for mask in masks] == [int, int], part
+        # qt:01's parts are qt:0 and qt:1, so it reads only the cache
         for kind in CentralizerKind:
             assert (brute_force_centralizer(sig, qt01, kind).blades
                     == pair_kernel_centralizer(sig, qt01, kind))
+        assert calls == []
 
     def test_warm_splits_agree_with_the_pair_kernel(self):
         clear_every_cache()
@@ -663,7 +675,7 @@ class TestPerProcessCaches:
         main(["table1", "--signature", "1,1,1", "--format", "json"])
         capsys.readouterr()
         caches = cliffcent_caches()
-        for name in ("_parsed", "_target", "_closed_form_grade", "_brute_masks"):
+        for name in ("_parsed", "_target", "_closed_form_grade", "_part_masks"):
             assert caches[f"cliffcent.centralizers.{name}"].cache_info().currsize
         for name in ("_qt_grades", "_sorted_blades"):
             assert caches[f"cliffcent.subspaces.{name}"].cache_info().currsize
@@ -1018,6 +1030,12 @@ class TestVerifyCase:
         assert report.match
         assert report.brute_blades == want.brute_blades
         assert report.closed_blades == want.closed_blades
+
+    def test_an_unknown_atom_is_refused(self):
+        spec = SubspaceSpec((("nope", 1),), "nope:1")
+        with pytest.raises(ValueError,
+                           match=re.escape("unhandled atom ('nope', 1)")):
+            verify_case(make_signature(1, 1, 1), spec, PLAIN)
 
     @pytest.mark.parametrize("target", ["grade:3..1", "grade:5..9"])
     @pytest.mark.parametrize("kind", list(CentralizerKind))

@@ -33,9 +33,8 @@ SHARED = {
 
 OWN = {
     "brute force": {
-        "centralizers.brute_force_centralizer", "centralizers._brute_masks",
+        "centralizers.brute_force_centralizer", "centralizers._part_masks",
         "centralizers._parities", "centralizers._transform",
-        "centralizers._part_transform",
         "centralizers._chunk_kernel",
     },
     "oracle": {

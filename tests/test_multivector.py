@@ -65,6 +65,20 @@ class TestConstruction:
         assert str(u) == "1*e[] + -2*e[1,2]"
         assert str(Multivector.zero(SIG)) == "0"
 
+    def test_repr(self):
+        assert repr(mv(((), 1), ((1, 2), -2))) == \
+            "Multivector(Cl(1,1,1), 1*e[] + -2*e[1,2])"
+
+    def test_equality_with_a_non_multivector_is_false(self):
+        one = Multivector.scalar(SIG, Fraction(1))
+        assert one.__eq__(1) is NotImplemented
+        assert (one == 1) is False and (one != 1) is True
+
+    def test_equal_multivectors_hash_equal(self):
+        u, v = mv(((1,), 2), ((2,), 3)), mv(((2,), 3), ((1,), 2))
+        assert u is not v and u == v and hash(u) == hash(v)
+        assert len({u, v, mv(((1,), 2))}) == 2
+
     def test_rejects_foreign_blades(self):
         with pytest.raises(ValueError):
             mv_from_terms(SIG, [(1 << 5, Fraction(1))])
@@ -140,6 +154,11 @@ class TestArithmetic:
         u, v = mv(((1,), 1)), mv(((2,), 1))
         assert u * v - v * u == mv(((1, 2), 2))
         assert (u * u - u * u).is_zero()
+
+    def test_scale_by_zero_is_the_zero_multivector(self):
+        u = mv(((1,), 2), ((1, 2), 3))
+        assert u.scale(0) == Multivector.zero(SIG)
+        assert u.scale(Fraction(0)).terms() == {}
 
     def test_sum_refuses_another_signature(self):
         other = mv_from_terms(make_signature(2, 0, 1), [(0, Fraction(1))])

@@ -21,6 +21,7 @@ from cliffcent.blades import (
 from cliffcent.centralizers import _assemble, all_signatures
 from cliffcent.subspaces import (
     Subspace,
+    SubspaceSpec,
     direct_sum,
     evaluate_spec,
     full_algebra,
@@ -86,6 +87,12 @@ class TestConstructors:
 
     def test_zero_and_full(self):
         assert full_algebra(SIG).dimension() == 16
+
+    def test_repr_of_the_full_n16_algebra_is_hex(self):
+        # its mask has 19,729 decimal digits, past the int-to-str limit
+        text = repr(full_algebra(make_signature(0, 0, 16)))
+        assert text == "Subspace(Cl(0,0,16), 0x" + "f" * (1 << 14) + ")"
+        assert len(text) == 16_408
 
     @pytest.mark.parametrize("blade", [1 << SIG.n, -1])
     def test_rejects_out_of_range_blade(self, blade):
@@ -485,6 +492,12 @@ class TestSpecGrammar:
         spec = parse_subspace_spec("grade:0+grade:4")
         assert evaluate_spec(SIG, spec).blades == \
             {0, blade_from_indices((1, 2, 3, 4))}
+
+    def test_an_unknown_atom_is_refused_at_evaluation(self):
+        spec = SubspaceSpec((("nope", 1),), "nope:1")
+        with pytest.raises(ValueError,
+                           match=re.escape("unhandled atom ('nope', 1)")):
+            evaluate_spec(SIG, spec)
 
     def test_union_overlap_is_rejected_at_evaluation(self):
         spec = parse_subspace_spec("grade:1+odd")
