@@ -119,6 +119,12 @@ def blade_from_indices(indices) -> Blade:
     return mask
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse anything but an int, such as a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_blade(sig: Signature, blade: Blade) -> None:
     """Refuse anything but an int (not bool) mask of a blade of ``sig``."""
     if type(blade) is not int:

@@ -27,6 +27,7 @@ from .blades import (
     MAX_DIM,
     Blade,
     Signature,
+    _check_int,
     blade_table,
     format_blade,
     index_lists,
@@ -44,7 +45,6 @@ from .subspaces import (
     grade_subspace,
     intersect,
     lambda_even,
-    lambda_full,
     lambda_range,
     nondeg_times_lambda,
     parity_part,
@@ -66,12 +66,6 @@ def _check_kind(kind) -> None:
     """Refuse anything but a ``CentralizerKind``, such as its value string."""
     if not isinstance(kind, CentralizerKind):
         raise ValueError(f"kind must be a CentralizerKind, got {kind!r}")
-
-
-def _check_int(name: str, value) -> None:
-    """Refuse anything but an int, such as a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 # -- route one: blade-by-blade brute force --------------------------------------
@@ -284,13 +278,9 @@ def _assemble(sig: Signature, parts: Sequence[Subspace]) -> Subspace:
     return Subspace(sig, acc)
 
 
-# The paper's literal tables, as term data.  A term is Lambda^(0) (_L0),
-# all of Lambda (_L), Cl^n (_TOP), or a triple (k, a, b) for
-# Cl^k_{p,q,0} Lambda^[n-a, n-b], its bounds clamped to [0, r].  An entry
-# is (terms for even n, terms for odd n).  No entry needs a case of its
-# own for r = n: then p + q = 0, so every term with k >= 1 is zero, and
-# Cl^n lies inside Lambda, where _assemble allows the repeat.
-_L0, _L, _TOP = "Lambda^(0)", "Lambda", "Cl^n"
+# The paper's literal tables, as term data read by ``_table_form``.  An
+# entry is (terms for even n, terms for odd n).
+_L0, _L, _TOP = "Lambda^(0)", ("Lambda", 0), "Cl^n"
 
 # The entries several tables share; "* 2" writes one list for both parities.
 _Z = ((_L0,), (_L0, _TOP))  # the center
@@ -340,55 +330,56 @@ _QT_PAIR_TABLE = {
 }
 
 
-def _table_form(sig: Signature, entry) -> Subspace:
-    """The union of a table entry's terms for the parity of n."""
+def _table_form(sig: Signature, terms) -> Subspace:
+    """The union of a term list's terms at ``sig``.
+
+    A term is Lambda^(0) (_L0), Cl^n (_TOP), ("Lambda", b) for
+    Lambda^[0, n-b], so that all of Lambda is _L, ("part", l, terms) for
+    the grade-parity-l part of a term list, or (k, a, b) for
+    Cl^k_{p,q,0} Lambda^[n-a, n-b].  Bounds are clamped to [0, r], and a
+    product term that is empty here, with k > p + q or n - a > r, is not
+    built.  No list needs a case of its own for r = n: then p + q = 0, so
+    every term with k >= 1 is zero, and Cl^n lies inside Lambda, where
+    _assemble allows the repeat.
+    """
     n, parts = sig.n, []
-    for term in entry[n & 1]:
+    for term in terms:
         if term == _L0:
             parts.append(lambda_even(sig))
-        elif term == _L:
-            parts.append(lambda_full(sig))
         elif term == _TOP:
             parts.append(grade_subspace(sig, n))
+        elif term[0] == "Lambda":
+            parts.append(lambda_range(sig, 0, n - term[1]))
+        elif term[0] == "part":
+            parts.append(parity_part(_table_form(sig, term[2]), term[1]))
         else:
             k, a, b = term
-            parts.append(nondeg_times_lambda(sig, k, n - a, n - b))
+            if k <= sig.p + sig.q and n - a <= sig.r:
+                parts.append(nondeg_times_lambda(sig, k, n - a, n - b))
     return _assemble(sig, parts)
 
 
 def center_closed_form(sig: Signature) -> Subspace:
     """Center of the algebra: even degenerate exterior part, plus the
     pseudoscalar line when n is odd."""
-    return _table_form(sig, _Z)
+    return _table_form(sig, _Z[sig.n & 1])
 
 
-def _general_form(sig: Signature, m: int, kind: CentralizerKind) -> Subspace:
-    """Plain or grade-twisted centralizer of Cl^m, for 1 <= m <= n.
+def _general_form(m: int, kind: CentralizerKind) -> list:
+    """Plain or grade-twisted centralizer of Cl^m, 1 <= m <= n, as terms.
 
-    T_f is the sum of Cl^k_{p,q,0} Lambda^{>= n-m+j}, j = (k + f) mod 2,
-    over k in 0..m-1 with k + j <= m - 1, plus Cl^n when m + f is even.
-    A term is non-zero only when k <= p + q and n - m + j <= r, that is
-    p + q + j <= m, so only those terms are built.
-    Plain with m even and hat with m odd give Lambda^{<= n-m-1} + T_0;
-    the other two keep its even part and take their odd part from T_1.
+    T_f holds (k, m - j, 0), that is Cl^k_{p,q,0} Lambda^{>= n-m+j}, for
+    each k < m with j = (k + f) mod 2 and k + j <= m - 1, plus Cl^n when
+    m + f is even.  Plain with m even and hat with m odd give
+    Lambda^{<= n-m-1} + T_0; the other two keep its even part and take
+    their odd part from T_1.
     """
-    n, nondeg = sig.n, sig.p + sig.q
-
-    def terms(f: int) -> List[Subspace]:
-        parts = []
-        for k in range(min(m, nondeg + 1)):
-            j = (k + f) % 2
-            if k + j <= m - 1 and nondeg + j <= m:
-                parts.append(nondeg_times_lambda(sig, k, n - m + j, sig.r))
-        if (m + f) % 2 == 0:
-            parts.append(grade_subspace(sig, n))
-        return parts
-
-    whole = _assemble(sig, [lambda_range(sig, 0, n - m - 1)] + terms(0))
+    t = [[(k, m - (k + f) % 2, 0) for k in range(m) if k + (k + f) % 2 < m]
+         + [_TOP] * ((m + f) % 2 == 0) for f in (0, 1)]
+    whole = [("Lambda", m + 1)] + t[0]
     if (kind is CentralizerKind.PLAIN) == (m % 2 == 0):
         return whole
-    return direct_sum([parity_part(whole, 0),
-                       parity_part(_assemble(sig, terms(1)), 1)])
+    return [("part", 0, whole), ("part", 1, t[1])]
 
 
 def _untwisted(kind: CentralizerKind, parity: int) -> CentralizerKind:
@@ -428,7 +419,7 @@ def _closed_form_grade(n: int, r: int, m: int, kind: CentralizerKind) -> int:
         if kind is CentralizerKind.PLAIN:
             return full_algebra(sig).mask
         return parity_subspace(sig, 0).mask
-    return _general_form(sig, m, kind).mask
+    return _table_form(sig, _general_form(m, kind)).mask
 
 
 def closed_form_small_grade(sig: Signature, m: int,
@@ -439,7 +430,7 @@ def closed_form_small_grade(sig: Signature, m: int,
         raise ValueError(f"small-grade forms cover m in 1..4, got {m}")
     if kind not in (CentralizerKind.PLAIN, CentralizerKind.GRADE_TWISTED):
         raise ValueError("small-grade tables exist for plain and hat kinds only")
-    return _table_form(sig, _SMALL_GRADE[kind.value, m])
+    return _table_form(sig, _SMALL_GRADE[kind.value, m][sig.n & 1])
 
 
 def closed_form_nondegenerate(sig: Signature, m: int,
@@ -489,7 +480,7 @@ _QT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def _explicit_qt_pair(sig: Signature, pair: Tuple[int, int],
                       kind: CentralizerKind) -> Subspace:
     """The tabulated right-hand side for a quaternion-type pair."""
-    return _table_form(sig, _QT_PAIR_TABLE[kind.value, pair])
+    return _table_form(sig, _QT_PAIR_TABLE[kind.value, pair][sig.n & 1])
 
 
 def closed_form_qt_pair(sig: Signature, pair: Tuple[int, int],

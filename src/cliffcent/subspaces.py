@@ -27,6 +27,7 @@ from .blades import (
     MAX_DIM,
     Blade,
     Signature,
+    _check_int,
     blade_table,
     check_blade,
     format_blade,
@@ -157,10 +158,13 @@ def _grade_mask(n: int, split: int, low: Tuple[int, ...],
 
 def _grades(lo: int, hi: int, top: int) -> Tuple[int, ...]:
     """The grades in [lo, hi], clamped to [0, top]."""
+    _check_int("grade", lo)
+    _check_int("grade", hi)
     return tuple(range(max(lo, 0), min(hi, top) + 1))
 
 
 def _parity_mask(n: int, l: int) -> int:
+    _check_int("parity", l)
     if l not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {l}")
     return _grade_mask(n, 0, (0,), tuple(range(l, n + 1, 2)))
@@ -228,6 +232,7 @@ def quaternion_type_subspace(sig: Signature, m: int) -> Subspace:
     Both signs depend on the grade alone, so each grade is tested once, on
     its first blade, and kept or dropped whole.
     """
+    _check_int("quaternion type", m)
     if m not in (0, 1, 2, 3):
         raise ValueError(f"quaternion type must be in 0..3, got {m}")
     return Subspace(sig, _grade_mask(sig.n, 0, (0,), _qt_grades(sig.n, m)))

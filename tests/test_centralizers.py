@@ -759,7 +759,7 @@ class TestClosedFormGrade:
                 want = brute_force_centralizer(sig, grade_subspace(sig, m), kind)
                 assert got == want, (sig, m, kind)
 
-    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 16])
     def test_matches_brute_force_past_eight_generators(self, n):
         # neither route reads the metric signs, so one Cl(n-r,0,r) per r
         # stands for every signature with that n and r

@@ -202,6 +202,31 @@ class TestConstructorDefinitions:
         with pytest.raises(ValueError, match="parity must be 0 or 1"):
             parity_subspace(SIG, 2)
 
+    @pytest.mark.parametrize("call, named", [
+        (lambda sig: grade_subspace(sig, True), "True"),
+        (lambda sig: grade_subspace(sig, 1.5), "1.5"),
+        (lambda sig: grade_range(sig, False, True), "False"),
+        (lambda sig: grade_range(sig, 0, 2.0), "2.0"),
+        (lambda sig: parity_subspace(sig, True), "True"),
+        (lambda sig: parity_subspace(sig, 1.0), "1.0"),
+        (lambda sig: parity_part(full_algebra(sig), True), "True"),
+        (lambda sig: lambda_subspace(sig, True), "True"),
+        (lambda sig: lambda_range(sig, 0, True), "True"),
+        (lambda sig: nondeg_times_lambda(sig, 1, 0, 1.0), "1.0"),
+        (lambda sig: nondeg_grade_subspace(sig, True), "True"),
+        (lambda sig: nondeg_grade_subspace(sig, 1.0), "1.0"),
+        (lambda sig: quaternion_type_subspace(sig, True), "True"),
+        (lambda sig: quaternion_type_subspace(sig, 1.0), "1.0"),
+    ])
+    def test_refuse_a_grade_that_is_not_an_int(self, call, named):
+        # qt:1 is built first, so a cached type cannot answer for 1.0 or True
+        sig = make_signature(2, 0, 1)
+        want = quaternion_type_subspace(sig, 1)
+        with pytest.raises(ValueError, match=rf"must be an int, got {re.escape(named)}$"):
+            call(sig)
+        assert quaternion_type_subspace(sig, 1) == want
+        assert grade_subspace(sig, 1) == want
+
 
 class TestGradeRuns:
     """parity_subspace and lambda_even read whole grade runs of the blade
