@@ -198,6 +198,8 @@ _BLADE_RE = re.compile(r"^e\[([0-9]+(?:,[0-9]+)*)?\]$")
 
 def parse_blade(text: str) -> Blade:
     """Parse ``e[]`` or ``e[i1,i2,...]`` with strictly ascending indices."""
+    if not isinstance(text, str):
+        raise ValueError(f"blade text must be a str, got {text!r}")
     m = _BLADE_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed blade {text!r}; expected e[] or e[i1,i2,...]")

@@ -70,27 +70,6 @@ def _check_kind(kind) -> None:
 
 # -- route one: blade-by-blade brute force --------------------------------------
 
-_CHUNK = 3  # generators transformed per matmul
-
-
-# The degenerate generators are the trailing ones, so the kernel of a run
-# of generators depends only on its width and how many of them are degenerate.
-@functools.lru_cache(maxsize=None)
-def _chunk_kernel(width: int, degenerate: int) -> np.ndarray:
-    """The Kronecker product of the 2x2 kernels K[x_i, v_i] of ``width``
-    consecutive generators: [[1, 1], [1, -1]] for a nondegenerate one,
-    [[1, 1], [1, 0]] for each of the top ``degenerate`` degenerate ones.
-    Each is symmetric, so the product is too and needs no transpose.
-    Read-only, because every transform of that run shares it."""
-    import numpy as np
-
-    out = np.ones((1, 1), dtype=np.int64)
-    for i in range(width):
-        out = np.kron(out, [[1, 1], [1, 0]] if i < degenerate else [[1, 1], [1, -1]])
-    out.flags.writeable = False
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _parities(n: int) -> Tuple[int, np.ndarray]:
     """For the blades b < 2^n: the mask of those with |b| even, and
@@ -103,26 +82,25 @@ def _parities(n: int) -> Tuple[int, np.ndarray]:
     return _pack(1 - odd), signs
 
 
-def _transform(sig: Signature, rows: np.ndarray) -> np.ndarray:
-    """Each row f of length 2^n mapped to x -> sum over v of f(v) times the
+def _transform(sig: Signature, row: np.ndarray) -> np.ndarray:
+    """The row f of length 2^n mapped to x -> sum over v of f(v) times the
     product over generators i of K[x_i, v_i] (Yates's algorithm)."""
-    # Each step transforms the width lowest bits of the index and rotates
-    # them to the top, so after all n bits every index is back in its place.
-    count, done = len(rows), 0
-    while done < sig.n:
-        width = min(_CHUNK, sig.n - done)
-        degenerate = min(width, max(0, done + width - sig.p - sig.q))
-        rows = rows.reshape(count, -1, 1 << width) @ _chunk_kernel(width, degenerate)
-        rows = rows.transpose(0, 2, 1)
-        done += width
-    return rows.reshape(count, -1)
+    import numpy as np
+
+    # Each step combines the entries that differ in the lowest index bit and
+    # moves that bit to the top, so after n steps every index is in place.
+    row = row.astype(np.int64)
+    for i in range(sig.n):
+        low, high = row[0::2], row[1::2]
+        row = np.concatenate((low + high, low - high if i < sig.p + sig.q else low))
+    return row
 
 
 @functools.lru_cache(maxsize=None)
 def _part_masks(n: int, r: int, part: int) -> Tuple[int, int]:
     """Masks (same, flip) of the x where T(x), and (-1)^|x| T(x), equals
     T(x & degenerate_mask), with T the transform of ``part`` at Cl(n - r, 0, r)."""
-    row = _transform(Signature(n - r, 0, r), _unpack(part, 1 << n)[None])[0]
+    row = _transform(Signature(n - r, 0, r), _unpack(part, 1 << n))
     # The degenerate generators are the top bits, so in rows of 2^(n-r)
     # entries, x & degenerate_mask is the first entry of x's row.
     rows = row.reshape(-1, 1 << (n - r))
@@ -664,6 +642,7 @@ def verify_case(sig: Signature, target: TargetLike, kind: CentralizerKind,
 
 def all_signatures(max_n: int) -> List[Signature]:
     """All (p,q,r) with 1 <= p+q+r <= max_n, in deterministic order."""
+    _check_int("max_n", max_n)
     out = []
     for n in range(1, max_n + 1):
         for p in range(n + 1):

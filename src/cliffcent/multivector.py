@@ -22,6 +22,7 @@ from . import _linalg
 from .blades import (
     Blade,
     Signature,
+    _check_int,
     all_blades,
     blade_grade,
     blade_product,
@@ -175,10 +176,12 @@ class Multivector:
         return Multivector(sig, acc)
 
     def grade_project(self, k: int) -> "Multivector":
+        _check_int("grade", k)
         return Multivector(self.signature, {
             b: v for b, v in self._terms.items() if blade_grade(b) == k})
 
     def parity_project(self, l: int) -> "Multivector":
+        _check_int("parity", l)
         if l not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {l}")
         return Multivector(self.signature, {

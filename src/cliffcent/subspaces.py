@@ -343,6 +343,8 @@ def _parse_atom(atom: str, position: int) -> Tuple:
 
 
 def parse_subspace_spec(text: str) -> SubspaceSpec:
+    if not isinstance(text, str):
+        raise ValueError(f"subspace spec must be a str, got {text!r}")
     if not text.strip():
         raise ValueError("empty subspace spec")
     atoms = []

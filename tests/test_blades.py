@@ -325,6 +325,12 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_blade(bad)
 
+    @pytest.mark.parametrize("bad", [5, None, b"e[1]"])
+    def test_rejects_text_that_is_not_a_str(self, bad):
+        with pytest.raises(ValueError,
+                           match=rf"^blade text must be a str, got {re.escape(repr(bad))}$"):
+            parse_blade(bad)
+
 
 class TestParseInt:
     @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3),

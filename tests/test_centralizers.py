@@ -471,6 +471,28 @@ class TestOracleRowCache:
         assert len(calls) == 2 * len(s.blades)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_transform_is_the_kernel_double_sum(n):
+    """The transform of a row f is x -> sum over v of f(v) times the
+    product over generators i of K[x_i, v_i], with the degenerate
+    generators on top: linear, so exact on any integer row, not only on
+    0/1 indicators.  The int8 rows must come back as int64."""
+    rng = np.random.default_rng(n)
+    for r in range(n + 1):
+        sig = Signature(n - r, 0, r)
+        kernels = [[[1, 1], [1, -1]] if i < n - r else [[1, 1], [1, 0]]
+                   for i in range(n)]
+        matrix = [[np.prod([kernels[i][x >> i & 1][v >> i & 1]
+                            for i in range(n)], dtype=np.int64)
+                   for v in range(1 << n)] for x in range(1 << n)]
+        for _ in range(3):
+            row = rng.integers(-3, 4, 1 << n, dtype=np.int8)
+            want = [sum(int(f) * k for f, k in zip(row, line)) for line in matrix]
+            got = centralizers._transform(sig, row)
+            assert got.dtype == np.int64, (sig, got.dtype)
+            assert got.tolist() == want, sig
+
+
 def count_transforms(monkeypatch):
     """Patch the brute-force transform to count its calls into the
     returned list."""
@@ -497,20 +519,10 @@ class TestBruteForceTransformCache:
     split of p + q reads its class representative Cl(p + q, 0, r), and
     targets that share a part share its masks."""
 
-    def test_every_chunk_kernel_is_symmetric(self):
-        # widths 1..3, each with 0..width degenerate generators
-        keys = [(width, degenerate) for width in range(1, centralizers._CHUNK + 1)
-                for degenerate in range(width + 1)]
-        assert len(keys) == 9
-        for key in keys:
-            kernel = centralizers._chunk_kernel(*key)
-            assert np.array_equal(kernel, kernel.T), key
-
     @pytest.mark.parametrize("cached", [
-        lambda: centralizers._chunk_kernel(3, 1),
         lambda: centralizers._parities(4)[1],
         lambda: subspaces._order_array(4),
-    ], ids=["chunk_kernel", "parity_signs", "order_array"])
+    ], ids=["parity_signs", "order_array"])
     def test_cached_arrays_are_read_only(self, cached):
         # every caller with the same key shares the array
         array = cached()
@@ -1396,6 +1408,13 @@ class TestSweep:
     def test_rejects_bound_outside_range(self, max_n):
         with pytest.raises(ValueError, match=f"in 1..{SWEEP_MAX_DIM}, got"):
             sweep_verify(max_n)
+
+    # True would otherwise enumerate the n = 1 signatures
+    @pytest.mark.parametrize("max_n", [True, 2.5])
+    def test_enumeration_refuses_a_bound_that_is_not_an_int(self, max_n):
+        with pytest.raises(ValueError,
+                           match=rf"^max_n must be an int, got {max_n!r}$"):
+            all_signatures(max_n)
 
 
 class TestTable1:

@@ -35,7 +35,6 @@ OWN = {
     "brute force": {
         "centralizers.brute_force_centralizer", "centralizers._part_masks",
         "centralizers._parities", "centralizers._transform",
-        "centralizers._chunk_kernel",
     },
     "oracle": {
         "centralizers.nullspace_centralizer_oracle", "centralizers._oracle_rows",

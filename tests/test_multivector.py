@@ -187,6 +187,16 @@ class TestProjections:
         with pytest.raises(ValueError, match="parity must be 0 or 1, got 2"):
             parity_project(mv(((), 1)), 2)
 
+    # a bool or a float equal to 1 would otherwise pick the grade-1 or odd part
+    @pytest.mark.parametrize("project, name", [(grade_project, "grade"),
+                                               (parity_project, "parity")])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_refuse_a_value_that_is_not_an_int(self, project, name, value):
+        u = mv(((), 1), ((1,), 2), ((1, 2), 3))
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an int, got {value!r}$"):
+            project(u, value)
+
     def test_involutes(self):
         u = mv(((1,), 1), ((1, 2), 1), ((1, 2, 3), 1))
         assert grade_involute(u) == mv(((1,), -1), ((1, 2), 1), ((1, 2, 3), -1))

@@ -504,6 +504,16 @@ class TestSpecGrammar:
             parse_subspace_spec(bad)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("call, named", [
+        (lambda: parse_subspace_spec(5), "5"),
+        (lambda: parse_subspace_spec(b"all"), "b'all'"),
+        (lambda: subspace_from_text(SIG, None), "None"),
+    ])
+    def test_refuses_text_that_is_not_a_str(self, call, named):
+        with pytest.raises(ValueError,
+                           match=rf"^subspace spec must be a str, got {re.escape(named)}$"):
+            call()
+
     def test_negative_and_padded_ints_stay_valid(self):
         assert parse_subspace_spec("grade:-1").atoms == (("grade", -1),)
         assert parse_subspace_spec(" grade:0..2 + lambda:1 ").atoms == \
